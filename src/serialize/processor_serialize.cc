@@ -30,7 +30,7 @@ void put_edge_list(ser::Writer& w, const std::vector<Edge>& edges) {
 
 void get_edge_list(ser::Reader& r, std::vector<Edge>& edges) {
   const std::uint64_t count = r.u64();
-  if (count * 16 > r.remaining()) {
+  if (count > r.remaining() / 16) {
     throw ser::SerializeError("edge list longer than the remaining payload");
   }
   edges.resize(count);

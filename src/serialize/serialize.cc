@@ -153,7 +153,7 @@ void put_u32_vector(Writer& w, const std::vector<std::uint32_t>& v) {
 
 void get_u32_vector(Reader& r, std::vector<std::uint32_t>& v) {
   const std::uint64_t count = r.u64();
-  if (count * 4 > r.remaining()) {
+  if (count > r.remaining() / 4) {
     throw SerializeError("u32 vector longer than the remaining payload");
   }
   v.resize(count);
@@ -167,7 +167,7 @@ void put_u64_vector(Writer& w, const std::vector<std::uint64_t>& v) {
 
 void get_u64_vector(Reader& r, std::vector<std::uint64_t>& v) {
   const std::uint64_t count = r.u64();
-  if (count * 8 > r.remaining()) {
+  if (count > r.remaining() / 8) {
     throw SerializeError("u64 vector longer than the remaining payload");
   }
   v.resize(count);

@@ -156,6 +156,14 @@ void KvTableBank::deserialize_state(ser::Reader& r) {
   ser::check_field(r.u64(), levels_, "KvTableBank levels");
   ser::check_field(r.u64(), cell_stride_, "KvTableBank cell stride");
   const std::uint64_t slot_limit = config().tables * cells_per_table_;
+  // Bound the entry count before reserving for it: slot ids are distinct
+  // and below slot_limit, and every entry carries a slot id, a row count
+  // and at least one row of cell_stride_ 32-byte cells.
+  constexpr std::uint64_t kCellBytes = 4 * 8;
+  if (count > slot_limit ||
+      count > r.remaining() / (2 * 8 + cell_stride_ * kCellBytes)) {
+    throw ser::SerializeError("KvTableBank entry count exceeds the payload");
+  }
   entries_.clear();
   ht_slot_.clear();
   ht_index_.clear();

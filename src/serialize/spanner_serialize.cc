@@ -42,7 +42,7 @@ void put_size_vector(ser::Writer& w, const std::vector<std::size_t>& v) {
 
 void get_size_vector(ser::Reader& r, std::vector<std::size_t>& v) {
   const std::uint64_t count = r.u64();
-  if (count * 8 > r.remaining()) {
+  if (count > r.remaining() / 8) {
     throw ser::SerializeError("size vector longer than the remaining payload");
   }
   v.resize(count);
@@ -65,7 +65,7 @@ void get_edge_map(ser::Reader& r, Vertex n,
                   std::map<std::pair<Vertex, Vertex>, double>& edges) {
   edges.clear();
   const std::uint64_t count = r.u64();
-  if (count * 16 > r.remaining()) {
+  if (count > r.remaining() / 16) {
     throw ser::SerializeError("edge map longer than the remaining payload");
   }
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -121,7 +121,7 @@ void ClusterForest::deserialize(ser::Reader& r) {
     }
     for (Vertex v = 0; v < hierarchy_.n; ++v) {
       const std::uint64_t count = r.u64();
-      if (count * 4 > r.remaining()) {
+      if (count > r.remaining() / 4) {
         throw ser::SerializeError(
             "ClusterForest member list longer than the remaining payload");
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/random.h"
@@ -21,6 +22,93 @@ constexpr std::size_t kFirstTouchReserve = 32;
   pc.rows = c.payload_rows;
   pc.seed = derive_seed(c.seed, 0x52);
   return pc;
+}
+
+constexpr std::size_t kNoBlock = ~std::size_t{0};
+
+// What the peeler needs to know of a table besides its cells.
+struct PeelShape {
+  std::size_t stride;  // cells per slot: key detector, then payload cells
+  std::size_t tables;
+  std::uint64_t max_key;
+  const FingerprintBasis* key_basis;
+};
+
+// The queue peeler (IBLT decode) shared by both kv sketches.  `cells` is a
+// flat working copy of one table, shape.stride cells per stored slot;
+// block_of(slot_id) is a slot's block index, or kNoBlock if the table never
+// stored it.  Every block is queued once.  A block whose key detector
+// verifies one-sparse yields (key, count, payload); that entry is
+// subtracted at each of the key's table slots (a slot outside the table
+// gets an appended zero block first) and those blocks are queued again, so
+// the whole peel is linear in the cell count.  Returns the entries sorted
+// by key, or nullopt when a cell stays nonzero (the table was overloaded).
+template <typename SlotOf, typename BlockOf>
+std::optional<std::vector<KvEntry>> peel_table(
+    std::vector<OneSparseCell>& cells, const PeelShape& shape,
+    const SlotOf& slot_of, const BlockOf& block_of) {
+  const std::size_t stride = shape.stride;
+  const std::size_t stored = cells.size() / stride;
+  std::vector<std::size_t> queue(stored);
+  std::iota(queue.begin(), queue.end(), std::size_t{0});
+  std::unordered_map<std::uint64_t, std::size_t> appended;
+  std::vector<KvEntry> found;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const OneSparseCell* block = cells.data() + queue[head] * stride;
+    Recovered rec;
+    if (block[0].count == 0 ||
+        classify_cell(block[0], shape.max_key, *shape.key_basis, &rec) !=
+            CellState::kOneSparse) {
+      continue;
+    }
+    // Each honest peel zeroes one nonzero key detector and revives none,
+    // so a table peels at most `stored` times; only crafted state, whose
+    // subtractions could cycle forever, gets past that.
+    if (found.size() == stored) return std::nullopt;
+    KvEntry entry;
+    entry.key = rec.coord;
+    entry.key_count = rec.value;
+    entry.payload.assign(block + 1, block + stride);
+    OneSparseCell key;
+    key.add(rec.coord, rec.value, *shape.key_basis);
+    for (std::size_t t = 0; t < shape.tables; ++t) {
+      const std::uint64_t slot_id = slot_of(t, rec.coord);
+      std::size_t b = block_of(slot_id);
+      if (b == kNoBlock) {
+        const auto [it, fresh] =
+            appended.try_emplace(slot_id, cells.size() / stride);
+        if (fresh) cells.resize(cells.size() + stride);
+        b = it->second;
+      }
+      OneSparseCell* dst = cells.data() + b * stride;
+      dst[0].merge(key, -1);
+      for (std::size_t c = 1; c < stride; ++c) {
+        dst[c].merge(entry.payload[c - 1], -1);
+      }
+      queue.push_back(b);
+    }
+    found.push_back(std::move(entry));
+  }
+  // Residual check: every cell (key AND payload) must have peeled to zero.
+  if (!std::all_of(cells.begin(), cells.end(),
+                   [](const OneSparseCell& c) { return c.is_zero(); })) {
+    return std::nullopt;
+  }
+  std::sort(found.begin(), found.end(),
+            [](const KvEntry& a, const KvEntry& b) { return a.key < b.key; });
+  // Defensive fold of duplicates (possible only under fingerprint collision).
+  std::vector<KvEntry> out;
+  for (auto& e : found) {
+    if (!out.empty() && out.back().key == e.key) {
+      out.back().key_count += e.key_count;
+      for (std::size_t i = 0; i < out.back().payload.size(); ++i) {
+        out.back().payload[i].merge(e.payload[i], 1);
+      }
+    } else {
+      out.push_back(std::move(e));
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -351,140 +439,59 @@ bool KvTableBank::is_zero() const noexcept {
   return true;
 }
 
-std::optional<std::vector<KvEntry>> KvTableBank::decode(
-    std::size_t level) const {
-  if (level >= levels_) {
-    throw std::out_of_range("kv bank level out of range");
+std::size_t KvTableBank::decode_levels(const LevelVisitor& visit) const {
+  // The blocks store level DIFFS, so walking deepest-first each level's
+  // values are running suffix sums with that level's rows folded in.  With
+  // entries ordered by depth, the entries reaching level j (rows > j) are a
+  // prefix of `order` that grows as j falls; sums and the peeler's working
+  // copy hold that prefix only (block p <-> entry order[p]), so the walk
+  // costs one pass over the stored rows plus one peel per level.  An entry
+  // outside the prefix is zero at the level, which is what the peeler
+  // assumes of a slot it cannot find.
+  std::vector<std::uint32_t> order(entries_.size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
+                     return entries_[a].rows > entries_[b].rows;
+                   });
+  std::vector<std::uint32_t> block_of_entry(entries_.size());
+  for (std::uint32_t p = 0; p < order.size(); ++p) {
+    block_of_entry[order[p]] = p;
   }
-  // Same peeled-overlay scheme as LinearKeyValueSketch::decode.  The blocks
-  // store level DIFFS, so the level's cells are materialized first as the
-  // suffix sum of each entry's rows >= level (an entry whose block does not
-  // reach this level is zero here); the peeling below then reads the
-  // materialized values, identical to the historical per-level storage.
-  struct OverlayCell {
-    OneSparseCell key_part;
-    std::vector<OneSparseCell> payload;
+  std::size_t reach = 0;
+  const PeelShape shape{cell_stride_, config().tables, config().max_key,
+                        &geo_->key_basis()};
+  const auto slot_of = [this](std::size_t t, std::uint64_t key) {
+    return slot(t, key);
   };
-  const std::size_t payload_cells = cell_stride_ - 1;
-  std::unordered_map<std::uint64_t, OverlayCell> peeled;
-  peeled.reserve(entries_.size());
-  std::vector<KvEntry> found;
-
-  std::vector<OneSparseCell> mat(entries_.size() * cell_stride_);
-  std::vector<char> reaches(entries_.size(), 0);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const std::size_t jcap = e.rows;
-    if (jcap <= level) continue;
-    reaches[i] = 1;
-    OneSparseCell* out = mat.data() + i * cell_stride_;
-    for (std::size_t j = level; j < jcap; ++j) {
-      const OneSparseCell* row = cells_of(e) + j * cell_stride_;
-      for (std::size_t c = 0; c < cell_stride_; ++c) out[c].merge(row[c], 1);
-    }
-  }
-  const auto stored_cells = [&](std::uint64_t slot_id) -> const OneSparseCell* {
+  const auto block_of = [&](std::uint64_t slot_id) {
     const Entry* e = find_entry(slot_id);
-    if (e == nullptr) return nullptr;
-    const std::size_t i = static_cast<std::size_t>(e - entries_.data());
-    if (reaches[i] == 0) return nullptr;
-    return mat.data() + i * cell_stride_;
+    if (e == nullptr) return kNoBlock;
+    const std::size_t p = block_of_entry[e - entries_.data()];
+    return p < reach ? p : kNoBlock;
   };
-  const auto overlay_at = [&](std::uint64_t slot_id) -> const OverlayCell* {
-    const auto it = peeled.find(slot_id);
-    return it == peeled.end() ? nullptr : &it->second;
-  };
-  const auto effective_key = [&](std::uint64_t slot_id) -> OneSparseCell {
-    OneSparseCell key;
-    if (const OneSparseCell* stored = stored_cells(slot_id)) key = stored[0];
-    if (const OverlayCell* sub = overlay_at(slot_id)) {
-      key.merge(sub->key_part, -1);
-    }
-    return key;
-  };
-  const auto for_each_candidate = [&](const auto& fn) {
-    for (const Entry& e : entries_) {
-      if (!fn(e.slot_id)) return false;
-    }
-    for (const auto& [slot_id, cell] : peeled) {
-      (void)cell;
-      if (find_entry(slot_id) == nullptr && !fn(slot_id)) return false;
-    }
-    return true;
-  };
-
-  while (true) {
-    std::optional<KvEntry> next;
-    for_each_candidate([&](std::uint64_t slot_id) {
-      const OneSparseCell key = effective_key(slot_id);
-      Recovered rec;
-      if (key.count != 0 &&
-          classify_cell(key, config().max_key, geo_->key_basis(), &rec) ==
-              CellState::kOneSparse) {
-        KvEntry entry;
-        entry.key = rec.coord;
-        entry.key_count = rec.value;
-        entry.payload.assign(payload_cells, OneSparseCell{});
-        if (const OneSparseCell* stored = stored_cells(slot_id)) {
-          for (std::size_t i = 0; i < payload_cells; ++i) {
-            entry.payload[i] = stored[1 + i];
-          }
-        }
-        if (const OverlayCell* sub = overlay_at(slot_id)) {
-          for (std::size_t i = 0; i < payload_cells; ++i) {
-            entry.payload[i].merge(sub->payload[i], -1);
-          }
-        }
-        next = std::move(entry);
-        return false;
+  std::vector<OneSparseCell> sums;
+  std::vector<OneSparseCell> work;
+  std::size_t live_levels = 0;  // live (slot, level) cells, as touched_bytes
+  for (std::size_t j = levels_; j-- > 0;) {
+    while (reach < order.size() && entries_[order[reach]].rows > j) ++reach;
+    sums.resize(reach * cell_stride_);  // newly reached entries start at 0
+    for (std::size_t p = 0; p < reach; ++p) {
+      const OneSparseCell* row =
+          cells_of(entries_[order[p]]) + j * cell_stride_;
+      OneSparseCell* sum = sums.data() + p * cell_stride_;
+      bool live = false;
+      for (std::size_t c = 0; c < cell_stride_; ++c) {
+        sum[c].merge(row[c], 1);
+        live = live || !sum[c].is_zero();
       }
-      return true;
-    });
-    if (!next.has_value()) break;
-
-    for (std::size_t t = 0; t < config().tables; ++t) {
-      const std::uint64_t s = slot(t, next->key);
-      auto it = peeled.find(s);
-      if (it == peeled.end()) {
-        it = peeled.emplace(s, OverlayCell{}).first;
-        it->second.payload.assign(payload_cells, OneSparseCell{});
-      }
-      it->second.key_part.add(next->key, next->key_count, geo_->key_basis());
-      for (std::size_t i = 0; i < payload_cells; ++i) {
-        it->second.payload[i].merge(next->payload[i], 1);
-      }
+      if (live) ++live_levels;
     }
-    found.push_back(std::move(*next));
+    work = sums;
+    visit(j, peel_table(work, shape, slot_of, block_of));
   }
-
-  const auto effectively_zero = [&](std::uint64_t slot_id) {
-    if (!effective_key(slot_id).is_zero()) return false;
-    const OneSparseCell* stored = stored_cells(slot_id);
-    const OverlayCell* sub = overlay_at(slot_id);
-    for (std::size_t i = 0; i < payload_cells; ++i) {
-      OneSparseCell c;
-      if (stored != nullptr) c = stored[1 + i];
-      if (sub != nullptr) c.merge(sub->payload[i], -1);
-      if (!c.is_zero()) return false;
-    }
-    return true;
-  };
-  if (!for_each_candidate(effectively_zero)) return std::nullopt;
-
-  std::sort(found.begin(), found.end(),
-            [](const KvEntry& a, const KvEntry& b) { return a.key < b.key; });
-  std::vector<KvEntry> out;
-  for (auto& e : found) {
-    if (!out.empty() && out.back().key == e.key) {
-      out.back().key_count += e.key_count;
-      for (std::size_t i = 0; i < out.back().payload.size(); ++i) {
-        out.back().payload[i].merge(e.payload[i], 1);
-      }
-    } else {
-      out.push_back(std::move(e));
-    }
-  }
-  return out;
+  return live_levels * cell_stride_ * sizeof(OneSparseCell) +
+         sizeof(LinearKvConfig);
 }
 
 std::optional<std::vector<Recovered>> KvTableBank::decode_payload(
@@ -711,126 +718,34 @@ bool LinearKeyValueSketch::is_zero() const noexcept {
 }
 
 std::optional<std::vector<KvEntry>> LinearKeyValueSketch::decode() const {
-  // Peeling WITHOUT copying the stored cell map: `peeled` is a sparse
-  // overlay of everything subtracted so far (at most tables * recovered-keys
-  // cells), and each stored cell's effective state is materialized lazily as
-  // stored - peeled.  The old implementation deep-copied every touched cell
-  // (payload vectors included) before the first peel.
-  std::unordered_map<std::uint64_t, Cell> peeled;
-  peeled.reserve(cells_.size());  // <= one overlay cell per touched cell
-  std::vector<KvEntry> found;
-
-  const auto cell_at = [](const std::unordered_map<std::uint64_t, Cell>& m,
-                          std::uint64_t slot_id) -> const Cell* {
-    const auto it = m.find(slot_id);
-    return it == m.end() ? nullptr : &it->second;
-  };
-
-  // Effective key detector at `slot_id`: stored (absent = zero) minus
-  // peeled.  One 4-word cell, no payload copy -- classification during the
-  // scan never needs the payload.
-  const auto effective_key = [&](std::uint64_t slot_id) -> OneSparseCell {
-    OneSparseCell key;
-    if (const Cell* stored = cell_at(cells_, slot_id)) key = stored->key_part;
-    if (const Cell* sub = cell_at(peeled, slot_id)) {
-      key.merge(sub->key_part, -1);
-    }
-    return key;
-  };
-
-  // Candidate slots: every stored cell, plus overlay-only slots (a stored
-  // cell can vanish to zero mid-stream and be erased while a later peel
-  // still subtracts there).  fn returning false stops the sweep early.
-  const auto for_each_candidate = [&](const auto& fn) {
-    for (const auto& [slot_id, cell] : cells_) {
-      (void)cell;
-      if (!fn(slot_id)) return false;
-    }
-    for (const auto& [slot_id, cell] : peeled) {
-      (void)cell;
-      if (cells_.find(slot_id) == cells_.end() && !fn(slot_id)) return false;
-    }
-    return true;
-  };
-
-  // Peeling: find a cell whose key detector verifies one-sparse, record
-  // (key, count, payload), subtract from all tables, repeat.
-  while (true) {
-    std::optional<KvEntry> next;
-    for_each_candidate([&](std::uint64_t slot_id) {
-      const OneSparseCell key = effective_key(slot_id);
-      Recovered rec;
-      if (key.count != 0 &&
-          classify_cell(key, config_.max_key, key_basis_, &rec) ==
-              CellState::kOneSparse) {
-        KvEntry entry;
-        entry.key = rec.coord;
-        entry.key_count = rec.value;
-        // Materialize the effective payload only for the recovered entry
-        // (it is the output, so this copy is unavoidable).
-        if (const Cell* stored = cell_at(cells_, slot_id)) {
-          entry.payload = stored->payload;
-        } else {
-          entry.payload = make_cell().payload;
-        }
-        if (const Cell* sub = cell_at(peeled, slot_id)) {
-          for (std::size_t i = 0; i < entry.payload.size(); ++i) {
-            entry.payload[i].merge(sub->payload[i], -1);
-          }
-        }
-        next = std::move(entry);
-        return false;  // stop scanning, peel it
-      }
-      return true;
-    });
-    if (!next.has_value()) break;
-
-    // Record the subtraction at every table position of the key.
-    for (std::size_t t = 0; t < config_.tables; ++t) {
-      const std::uint64_t s = slot(t, next->key);
-      auto it = peeled.find(s);
-      if (it == peeled.end()) it = peeled.emplace(s, make_cell()).first;
-      it->second.key_part.add(next->key, next->key_count, key_basis_);
-      for (std::size_t i = 0; i < it->second.payload.size(); ++i) {
-        it->second.payload[i].merge(next->payload[i], 1);
-      }
-    }
-    found.push_back(std::move(*next));
+  // Flatten the map in slot order (block i <-> sorted[i], found by binary
+  // search) and run the shared peeler on the copy.
+  const std::size_t stride = 1 + payload_geometry_.cell_count();
+  std::vector<std::pair<std::uint64_t, const Cell*>> sorted;
+  sorted.reserve(cells_.size());
+  for (const auto& [slot_id, cell] : cells_) {
+    sorted.emplace_back(slot_id, &cell);
   }
-
-  // Residual check: every candidate's effective state (key AND payload)
-  // must be zero, else the table was overloaded.
-  const auto effectively_zero = [&](std::uint64_t slot_id) {
-    if (!effective_key(slot_id).is_zero()) return false;
-    const Cell* stored = cell_at(cells_, slot_id);
-    const Cell* sub = cell_at(peeled, slot_id);
-    const std::size_t payload_cells = payload_geometry_.cell_count();
-    for (std::size_t i = 0; i < payload_cells; ++i) {
-      OneSparseCell c;
-      if (stored != nullptr) c = stored->payload[i];
-      if (sub != nullptr) c.merge(sub->payload[i], -1);
-      if (!c.is_zero()) return false;
-    }
-    return true;
-  };
-  const bool clean = for_each_candidate(effectively_zero);
-  if (!clean) return std::nullopt;
-
-  std::sort(found.begin(), found.end(),
-            [](const KvEntry& a, const KvEntry& b) { return a.key < b.key; });
-  // Defensive fold of duplicates (possible only under fingerprint collision).
-  std::vector<KvEntry> out;
-  for (auto& e : found) {
-    if (!out.empty() && out.back().key == e.key) {
-      out.back().key_count += e.key_count;
-      for (std::size_t i = 0; i < out.back().payload.size(); ++i) {
-        out.back().payload[i].merge(e.payload[i], 1);
-      }
-    } else {
-      out.push_back(std::move(e));
-    }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<OneSparseCell> cells;
+  cells.reserve(sorted.size() * stride);
+  for (const auto& entry : sorted) {
+    const Cell& cell = *entry.second;
+    cells.push_back(cell.key_part);
+    cells.insert(cells.end(), cell.payload.begin(), cell.payload.end());
   }
-  return out;
+  const PeelShape shape{stride, config_.tables, config_.max_key, &key_basis_};
+  return peel_table(
+      cells, shape,
+      [this](std::size_t t, std::uint64_t key) { return slot(t, key); },
+      [&sorted](std::uint64_t slot_id) {
+        const auto it = std::lower_bound(
+            sorted.begin(), sorted.end(), slot_id,
+            [](const auto& entry, std::uint64_t s) { return entry.first < s; });
+        return it != sorted.end() && it->first == slot_id
+                   ? static_cast<std::size_t>(it - sorted.begin())
+                   : kNoBlock;
+      });
 }
 
 std::optional<std::vector<Recovered>> LinearKeyValueSketch::decode_payload(

@@ -10,7 +10,10 @@
 /// Decoding peels cells whose key detector verifies as one-sparse: that
 /// certifies every update in the cell shares one key, so the cell's embedded
 /// payload sketch is that key's complete payload; the recovered pair is then
-/// subtracted from the other tables.
+/// subtracted from the other tables.  Both sketches below share one queue
+/// peeler (the invertible-Bloom-lookup-table decoder): the table is copied
+/// once into a flat cell array, every cell is queued, and a peel re-queues
+/// only the slots it subtracted from -- linear in the number of cells.
 ///
 /// Everything is component-wise additive (field arithmetic for fingerprints),
 /// so sketches with equal (capacity, geometry, seed) merge exactly --
@@ -21,6 +24,7 @@
 #define KW_SKETCH_LINEAR_KV_SKETCH_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -185,7 +189,9 @@ class KvBankGeometry {
 //
 // LEVEL-DIFF REPRESENTATION: an update to levels 0..jmax physically writes
 // its terms ONLY at block row jmax; the value of level j is materialized as
-// the suffix sum over stored rows j' >= j (decode / touched_bytes do this).
+// the suffix sum over stored rows j' >= j.  decode_levels() and
+// touched_bytes() walk the levels deepest-first, folding each stored row
+// into a running suffix sum, so the walk reads every stored row once.
 // The two are exactly interchangeable because every cell component is
 // additive (field adds / wrapping integer adds commute and associate), so
 // sum-of-diffs == diff-of-sums -- linearity again, applied across the level
@@ -221,9 +227,14 @@ class KvTableBank {
   // this += sign * other (same configuration + levels required).
   void merge(const KvTableBank& other, std::int64_t sign = 1);
 
-  // Per-level decode, same contract as LinearKeyValueSketch::decode().
-  [[nodiscard]] std::optional<std::vector<KvEntry>> decode(
-      std::size_t level) const;
+  // Decodes every level deepest-first (levels() - 1 down to 0), handing
+  // each to `visit(level, decoded)`.  `decoded` is the level's key ->
+  // (count, payload) map sorted by key, or nullopt when the level is
+  // overloaded -- the contract of LinearKeyValueSketch::decode().  Returns
+  // touched_bytes(), counted during the same walk.
+  using LevelVisitor = std::function<void(
+      std::size_t, const std::optional<std::vector<KvEntry>>&)>;
+  std::size_t decode_levels(const LevelVisitor& visit) const;
   [[nodiscard]] std::optional<std::vector<Recovered>> decode_payload(
       const KvEntry& entry) const;
 

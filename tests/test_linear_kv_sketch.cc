@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "serialize/binary_io.h"
 #include "util/random.h"
 
 namespace kw {
@@ -231,6 +232,26 @@ TEST_P(KvLoad, DecodableAtCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(CapacitySweep, KvLoad,
                          ::testing::Values(4, 16, 64, 256));
+
+
+TEST(LinearKv, CraftedStateFailsInsteadOfCyclingThePeel) {
+  // Keep only the first of the three cells one key wrote (its other two
+  // records are dropped from the state stream).  Peeling that cell leaves
+  // -key in the other tables, peeling one of those restores +key in the
+  // first, and so on forever; honest state peels at most once per stored
+  // cell, so the decoder gives up instead.
+  LinearKeyValueSketch honest(make_config(16, 12));
+  honest.update(42, 1, 7, 1);
+  ser::Writer w;
+  honest.serialize_state(w);
+  std::vector<unsigned char> bytes = w.buffer();
+  bytes[0] = 1;  // record count (u64, little-endian): 3 -> 1
+  for (std::size_t i = 1; i < 8; ++i) bytes[i] = 0;
+  LinearKeyValueSketch crafted(make_config(16, 12));
+  ser::Reader r(bytes.data(), bytes.size());
+  crafted.deserialize_state(r);
+  EXPECT_FALSE(crafted.decode().has_value());
+}
 
 }  // namespace
 }  // namespace kw

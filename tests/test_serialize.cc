@@ -679,5 +679,153 @@ TEST(Checkpoint, ShardedResumeRejectsMidPassCut) {
                ser::SerializeError);
 }
 
+
+// ---- hostile length prefixes ---------------------------------------------
+//
+// A length prefix is checked against the bytes left before anything is
+// sized from it.  Each count below is 2^64 / element_size + 1, so a check
+// written as `count * size > remaining` would wrap to `size` and pass, and
+// the container would then throw std::length_error -- which checkpoint
+// recovery does not catch.  Every case must surface as SerializeError.
+
+constexpr std::uint64_t wrapping_count(std::uint64_t element_bytes) {
+  return (~std::uint64_t{0} / element_bytes) + 1;
+}
+
+// Offset of the section labelled `label` in w's buffer.  Valid when every
+// byte before it was written inside some section.
+[[nodiscard]] std::size_t section_offset(ser::Writer& w,
+                                         const std::string& label) {
+  std::size_t offset = 0;
+  for (const auto& section : w.stats().sections) {
+    if (section.label == label) return offset;
+    offset += section.bytes;
+  }
+  ADD_FAILURE() << "no section " << label;
+  return 0;
+}
+
+void patch_u64(std::vector<unsigned char>& bytes, std::size_t offset,
+               std::uint64_t value) {
+  ASSERT_LE(offset + 8, bytes.size());
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<unsigned char>(value >> (8 * i));
+  }
+}
+
+template <typename T>
+void expect_rejected(const std::vector<unsigned char>& bytes, T& dst) {
+  ser::Reader r(bytes.data(), bytes.size());
+  EXPECT_THROW(dst.deserialize(r), ser::SerializeError);
+}
+
+TEST(SerializeHostile, VectorLengthPrefixesCannotWrap) {
+  for (const std::uint64_t element : {std::uint64_t{4}, std::uint64_t{8}}) {
+    // The count, then 8 bytes: at least one element really follows.
+    std::vector<unsigned char> bytes(16, 0);
+    patch_u64(bytes, 0, wrapping_count(element));
+    ser::Reader r(bytes.data(), bytes.size());
+    if (element == 4) {
+      std::vector<std::uint32_t> v;
+      EXPECT_THROW(ser::get_u32_vector(r, v), ser::SerializeError);
+    } else {
+      std::vector<std::uint64_t> v;
+      EXPECT_THROW(ser::get_u64_vector(r, v), ser::SerializeError);
+    }
+  }
+}
+
+TEST(SerializeHostile, ForestEdgeListLengthCannotWrap) {
+  const DynamicStream stream = test_stream(24, 60, 10, 140);
+  AgmConfig config;
+  config.seed = 41;
+  SpanningForestProcessor forest(24, config);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  forest.absorb({updates.data(), updates.size()});
+  forest.finish();
+  ser::Writer w;
+  forest.serialize(w);
+  std::vector<unsigned char> bytes = w.buffer();
+  // forest.result: finished flag, result flag, then the edge count.
+  patch_u64(bytes, section_offset(w, "forest.result") + 2, wrapping_count(16));
+  SpanningForestProcessor dst(24, config);
+  expect_rejected(bytes, dst);
+}
+
+TEST(SerializeHostile, TwoPassSpannerLengthsCannotWrap) {
+  const DynamicStream stream = test_stream(32, 120, 40, 141);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  TwoPassConfig config;
+  config.k = 2;
+  config.seed = 42;
+  TwoPassSpanner spanner(32, config);
+  spanner.absorb({updates.data(), updates.size()});
+  spanner.advance_pass();
+  spanner.absorb({updates.data(), updates.size() / 3});
+  ser::Writer w;
+  spanner.serialize(w);
+  const std::vector<unsigned char> clean = w.buffer();
+  const std::size_t meta = section_offset(w, "two_pass.pass2_meta");
+  {
+    ser::Reader r(clean.data(), clean.size());
+    TwoPassSpanner dst(32, config);
+    ASSERT_NO_THROW(dst.deserialize(r));
+  }
+  const auto read_u64 = [&clean](std::size_t offset) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= std::uint64_t{clean[offset + i]} << (8 * i);
+    }
+    return v;
+  };
+  // pass2_meta: four diagnostics counters, the terminals-per-level size
+  // vector, pass-1 touched bytes, then the augmented edge map.
+  const std::size_t levels_at = meta + 4 * 8;
+  const std::size_t map_at = levels_at + 8 + 8 * read_u64(levels_at) + 8;
+  // cluster_forest: n, k, built flag, then per level n parents, n witness
+  // edges and n terminal flags before the first member-list length.
+  const std::size_t members_at =
+      section_offset(w, "cluster_forest") + 4 + 4 + 1 + 32 * (4 + 16 + 1);
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {levels_at, wrapping_count(8)},
+      {map_at, wrapping_count(16)},
+      {members_at, wrapping_count(4)},
+  };
+  for (const auto& [offset, count] : cases) {
+    std::vector<unsigned char> bytes = clean;
+    patch_u64(bytes, offset, count);
+    TwoPassSpanner dst(32, config);
+    expect_rejected(bytes, dst);
+  }
+}
+
+TEST(SerializeHostile, KvBankEntryCountIsBounded) {
+  LinearKvConfig config;
+  config.max_key = 1 << 10;
+  config.max_payload_coord = 1 << 10;
+  config.capacity = 64;  // 3 tables x 128 cells: slot ids below 384
+  config.seed = 43;
+  KvTableBank bank(config, 3);
+  for (std::uint64_t k = 0; k < 6; ++k) bank.update(k * 31, 1, k, 1, k % 3);
+  ser::Writer w;
+  bank.serialize_state(w);
+  const std::vector<unsigned char> clean = w.buffer();
+  // Header: entry count, levels, cell stride.  Past the slot limit, under
+  // it but past what the payload can hold (18 entries are stored), and a
+  // count whose byte size wraps.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{300}, wrapping_count(8)}) {
+    std::vector<unsigned char> bytes = clean;
+    patch_u64(bytes, 0, count);
+    KvTableBank dst(config, 3);
+    ser::Reader r(bytes.data(), bytes.size());
+    EXPECT_THROW(dst.deserialize_state(r), ser::SerializeError)
+        << "entry count " << count;
+  }
+  KvTableBank dst(config, 3);
+  ser::Reader r(clean.data(), clean.size());
+  EXPECT_NO_THROW(dst.deserialize_state(r));
+}
+
 }  // namespace
 }  // namespace kw
