@@ -9,12 +9,13 @@
 //   agm_rounds_fused             raw 12-round BankGroup ingest, distinct
 //                                pairs (layout/staging fusion isolated)
 //   agm_rounds_legacy_per_round  the same updates through 12 independent
-//                                per-round SketchBanks (the pre-fusion
-//                                layout; cells must match bit-for-bit)
+//                                one-group BankGroups, one per round (the
+//                                pre-fusion layout; cells must match
+//                                bit-for-bit)
 //   bank_ingest_batched          raw one-group ingest_pairs (no engine)
 //   bank_update_scalar           the same updates through per-vertex
-//                                bank-of-one samplers (the pre-refactor
-//                                object layout) for context
+//                                one-vertex, one-group BankGroups (the
+//                                pre-refactor object layout) for context
 //
 // Emits BENCH_sketch_hotpath.json (schema below); the committed baseline at
 // the repo root seeds the perf trajectory and tools/compare_bench.py warns
@@ -37,8 +38,7 @@
 #include "bench/table.h"
 #include "engine/stream_engine.h"
 #include "graph/generators.h"
-#include "sketch/l0_sampler.h"
-#include "sketch/sketch_bank.h"
+#include "sketch/bank_group.h"
 #include "stream/dynamic_stream.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -164,16 +164,16 @@ constexpr std::size_t kEngineBatch = 65536;
   return updates;
 }
 
-[[nodiscard]] SketchBankConfig synthetic_config(Vertex n) {
-  SketchBankConfig c;
+[[nodiscard]] BankGroupConfig synthetic_config(Vertex n) {
+  BankGroupConfig c;
   c.max_coord = num_pairs(n);
   c.instances = 4;
-  c.seed = 31;
+  c.seeds = {31};
   return c;
 }
 
 // Fused multi-round ingest (ONE BankGroup holding all rounds) vs the
-// pre-fusion legacy layout (one independent SketchBank per round, each
+// pre-fusion legacy layout (one independent one-group bank per round, each
 // re-staging and re-sweeping the batch) -- the 12-round shape of
 // AgmGraphSketch on synthetic all-distinct pairs, so the comparison
 // isolates staging/layout fusion rather than churn cancellation.  The
@@ -227,12 +227,12 @@ constexpr std::size_t kEngineBatch = 65536;
   r.updates = count;
   r.ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<SketchBank> banks;
+    std::vector<BankGroup> banks;
     for (std::size_t g = 0; g < rounds; ++g) {
-      SketchBankConfig c;
+      BankGroupConfig c;
       c.max_coord = num_pairs(n);
       c.instances = 4;
-      c.seed = seeds[g];
+      c.seeds = {seeds[g]};
       banks.emplace_back(n, c);
     }
     Timer timer;
@@ -249,7 +249,7 @@ constexpr std::size_t kEngineBatch = 65536;
     std::size_t offset = 0;
     for (std::size_t g = 0; g < rounds; ++g) {
       for (std::size_t v = 0; v < n; ++v) {
-        for (const auto& cell : banks[g].stripe(v)) {
+        for (const auto& cell : banks[g].stripe(0, v)) {
           const auto& expect = ref[offset++];
           r.ok = r.ok && cell.count == expect.count &&
                  cell.coord_sum == expect.coord_sum &&
@@ -270,7 +270,7 @@ constexpr std::size_t kEngineBatch = 65536;
   r.ms = std::numeric_limits<double>::infinity();
   constexpr std::size_t kBatch = kEngineBatch;
   for (int rep = 0; rep < kReps; ++rep) {
-    SketchBank bank(n, synthetic_config(n));
+    BankGroup bank(n, synthetic_config(n));
     Timer timer;
     for (std::size_t i = 0; i < updates.size(); i += kBatch) {
       const std::size_t len = std::min(kBatch, updates.size() - i);
@@ -279,7 +279,7 @@ constexpr std::size_t kEngineBatch = 65536;
     r.ms = std::min(r.ms, timer.millis());
     out->clear();
     for (std::size_t v = 0; v < n; ++v) {
-      const auto stripe = bank.stripe(v);
+      const auto stripe = bank.stripe(0, v);
       out->insert(out->end(), stripe.begin(), stripe.end());
     }
   }
@@ -289,20 +289,16 @@ constexpr std::size_t kEngineBatch = 65536;
 [[nodiscard]] Result bank_update_scalar(Vertex n, std::size_t count,
                                         const std::vector<OneSparseCell>& ref) {
   const auto updates = synthetic_pairs(n, count);
-  L0SamplerConfig sc;
-  sc.max_coord = num_pairs(n);
-  sc.instances = 4;
-  sc.seed = 31;
   Result r;
   r.name = "bank_update_scalar";
   r.updates = count;
   r.ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<L0Sampler> samplers(n, L0Sampler(sc));
+    std::vector<BankGroup> samplers(n, BankGroup(1, synthetic_config(n)));
     Timer timer;
     for (const auto& u : updates) {
-      samplers[u.lo].update(u.coord, u.delta);
-      samplers[u.hi].update(u.coord, -u.delta);
+      samplers[u.lo].update(0, 0, u.coord, u.delta);
+      samplers[u.hi].update(0, 0, u.coord, -u.delta);
     }
     r.ms = std::min(r.ms, timer.millis());
     // Identity: per-vertex samplers and the flat bank share seed semantics,
@@ -310,7 +306,7 @@ constexpr std::size_t kEngineBatch = 65536;
     r.ok = true;
     std::size_t offset = 0;
     for (std::size_t v = 0; v < n; ++v) {
-      const auto stripe = samplers[v].bank().stripe(0);
+      const auto stripe = samplers[v].stripe(0, 0);
       for (const auto& cell : stripe) {
         const auto& expect = ref[offset++];
         r.ok = r.ok && cell.count == expect.count &&

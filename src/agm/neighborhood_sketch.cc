@@ -12,7 +12,7 @@ std::vector<std::uint64_t> agm_round_seeds(const AgmConfig& config) {
   for (std::size_t r = 0; r < config.rounds; ++r) {
     // Same seed for every vertex within a round => summable; different seed
     // across rounds => independent retries.  (Seed constants unchanged from
-    // the per-round SketchBank era, so cells are bit-identical.)
+    // the one-bank-per-round layout, so cells are bit-identical.)
     seeds.push_back(derive_seed(config.seed, 0xa6000 + r));
   }
   return seeds;

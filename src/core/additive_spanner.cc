@@ -32,12 +32,12 @@ namespace {
   return c;
 }
 
-[[nodiscard]] SketchBankConfig center_config(Vertex n,
-                                             const AdditiveConfig& config) {
-  SketchBankConfig c;
+[[nodiscard]] BankGroupConfig center_config(Vertex n,
+                                            const AdditiveConfig& config) {
+  BankGroupConfig c;
   c.max_coord = n;
   c.instances = 4;
-  c.seed = derive_seed(config.seed, 0xad2);
+  c.seeds = {derive_seed(config.seed, 0xad2)};
   return c;
 }
 
@@ -100,8 +100,12 @@ void AdditiveSpannerSketch::apply_common(const EdgeUpdate& update) {
 void AdditiveSpannerSketch::apply_local(const EdgeUpdate& update) {
   apply_common(update);
   // A^r(u) sketches N(u) cap C (cap Z^r handled inside the bank's levels).
-  if (in_centers_[update.v]) center_bank_.update(update.u, update.v, update.delta);
-  if (in_centers_[update.u]) center_bank_.update(update.v, update.u, update.delta);
+  if (in_centers_[update.v]) {
+    center_bank_.update(0, update.u, update.v, update.delta);
+  }
+  if (in_centers_[update.u]) {
+    center_bank_.update(0, update.v, update.u, update.delta);
+  }
 }
 
 void AdditiveSpannerSketch::update(const EdgeUpdate& update) {
@@ -205,7 +209,7 @@ void AdditiveSpannerSketch::finish() {
   for (Vertex u = 0; u < n_; ++u) {
     if (low[u]) continue;
     if (in_centers_[u]) continue;  // u is itself a cluster center
-    const auto rec = center_bank_.decode(u);
+    const auto rec = center_bank_.decode(0, u);
     if (!rec.has_value()) {
       ++diag.unattached_high_degree;  // stays a singleton supernode
       continue;

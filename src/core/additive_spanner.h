@@ -26,8 +26,8 @@
 #include "core/config.h"
 #include "engine/stream_processor.h"
 #include "graph/graph.h"
+#include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
 #include "util/hashing.h"
@@ -100,7 +100,7 @@ class AdditiveSpannerSketch final : public StreamProcessor {
   void apply_local(const EdgeUpdate& update);
 
   std::vector<SparseRecoverySketch> neighborhood_;   // S(u)
-  SketchBank center_bank_;                           // A^r(u), all r nested
+  BankGroup center_bank_;                            // A^r(u), one group
   std::vector<BankVertexUpdate> center_staging_;     // absorb() gather, reused
   std::vector<DistinctElementsSketch> degree_;       // hat d_u
   AgmGraphSketch agm_;

@@ -138,7 +138,7 @@ void KConnectivitySketch::deserialize(ser::Reader& r) {
     }
     res.forests.resize(forests);
     for (std::vector<Edge>& forest : res.forests) get_edge_list(r, forest);
-    res.certificate = ser::get_graph(r);
+    res.certificate = ser::get_graph(r, n_);
     res.complete = r.u8() != 0;
     result_ = std::move(res);
   } else {
@@ -172,7 +172,7 @@ void AdditiveSpannerSketch::serialize(ser::Writer& w) const {
   w.u64(config_.agm_instances);
   w.end_section();
   for (const SparseRecoverySketch& s : neighborhood_) s.serialize(w);
-  center_bank_.serialize(w);
+  ser::put_single_bank(w, center_bank_);
   for (const DistinctElementsSketch& s : degree_) s.serialize(w);
   agm_.serialize(w);
 }
@@ -197,7 +197,7 @@ void AdditiveSpannerSketch::deserialize(ser::Reader& r) {
   finished_ = false;
   result_.reset();
   for (SparseRecoverySketch& s : neighborhood_) s.deserialize(r);
-  center_bank_.deserialize(r);
+  ser::get_single_bank(r, center_bank_);
   for (DistinctElementsSketch& s : degree_) s.deserialize(r);
   agm_.deserialize(r);
 }

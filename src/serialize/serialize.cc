@@ -133,14 +133,23 @@ void put_graph(Writer& w, const Graph& g) {
   }
 }
 
-Graph get_graph(Reader& r) {
-  const std::uint32_t n = r.u32();
+Graph get_graph(Reader& r, std::uint32_t n) {
+  check_field(r.u32(), n, "graph vertex count");
   const std::uint64_t m = r.u64();
+  if (m > r.remaining() / 16) {
+    throw SerializeError("graph edge count exceeds the remaining payload");
+  }
   Graph g(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     const std::uint32_t u = r.u32();
     const std::uint32_t v = r.u32();
     const double weight = r.f64();
+    if (u >= n || v >= n || u == v) {
+      throw SerializeError("graph edge (" + std::to_string(u) + ", " +
+                           std::to_string(v) +
+                           ") is a self-loop or leaves [0, " +
+                           std::to_string(n) + ")");
+    }
     g.add_edge(u, v, weight);
   }
   return g;

@@ -41,7 +41,6 @@ namespace kw {
 class StreamProcessor;
 class Graph;
 class BankGroup;
-class SketchBank;
 class SparseRecoverySketch;
 class DistinctElementsSketch;
 class LinearKeyValueSketch;
@@ -73,7 +72,6 @@ constexpr std::uint32_t kFormatVersion = 2;
 // Type tags.  A tag names a payload layout; bumping a layout means a new
 // format version, not a new tag.
 constexpr std::uint32_t kTagBankGroup = fourcc('B', 'K', 'G', 'R');
-constexpr std::uint32_t kTagSketchBank = fourcc('S', 'K', 'B', 'K');
 constexpr std::uint32_t kTagSparseRecovery = fourcc('S', 'P', 'R', 'S');
 constexpr std::uint32_t kTagDistinctElements = fourcc('D', 'S', 'T', 'E');
 constexpr std::uint32_t kTagLinearKv = fourcc('L', 'K', 'V', 'S');
@@ -99,7 +97,6 @@ concept Serializable = requires { SerialTag<T>::value; };
 
 // clang-format off
 template <> struct SerialTag<BankGroup> { static constexpr std::uint32_t value = kTagBankGroup; };
-template <> struct SerialTag<SketchBank> { static constexpr std::uint32_t value = kTagSketchBank; };
 template <> struct SerialTag<SparseRecoverySketch> { static constexpr std::uint32_t value = kTagSparseRecovery; };
 template <> struct SerialTag<DistinctElementsSketch> { static constexpr std::uint32_t value = kTagDistinctElements; };
 template <> struct SerialTag<LinearKeyValueSketch> { static constexpr std::uint32_t value = kTagLinearKv; };
@@ -137,7 +134,16 @@ void put_cell(Writer& w, const OneSparseCell& cell);
 // ---- small aggregate helpers --------------------------------------------
 
 void put_graph(Writer& w, const Graph& g);
-[[nodiscard]] Graph get_graph(Reader& r);
+// Rejects a stored vertex count other than `n`, endpoints >= n and
+// self-loops, all as SerializeError.
+[[nodiscard]] Graph get_graph(Reader& r, std::uint32_t n);
+
+// A one-group BankGroup behind a 3-u64 header (max_coord, instances, seed):
+// the per-vertex L0 banks of AdditiveSpannerSketch and MultipassSpanner.
+// The reader validates the header against the live bank, then loads the
+// BankGroup payload.
+void put_single_bank(Writer& w, const BankGroup& bank);
+void get_single_bank(Reader& r, BankGroup& bank);
 
 void put_u32_vector(Writer& w, const std::vector<std::uint32_t>& v);
 void get_u32_vector(Reader& r, std::vector<std::uint32_t>& v);

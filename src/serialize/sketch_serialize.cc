@@ -1,5 +1,5 @@
-// serialize()/deserialize() members of the sketch layer: BankGroup,
-// SketchBank, SparseRecoverySketch, DistinctElementsSketch,
+// serialize()/deserialize() members of the sketch layer: BankGroup (and
+// its one-group framing), SparseRecoverySketch, DistinctElementsSketch,
 // LinearKeyValueSketch, AgmGraphSketch.
 //
 // Each payload starts with the object's configuration/geometry, which
@@ -14,7 +14,6 @@
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 
 namespace kw {
@@ -47,23 +46,27 @@ void BankGroup::deserialize(ser::Reader& r) {
   ser::read_cells(r, {cells_.data(), cells_.size()});
 }
 
-// ---- SketchBank ---------------------------------------------------------
+// ---- one-group banks ----------------------------------------------------
 
-void SketchBank::serialize(ser::Writer& w) const {
-  w.begin_section("sketch_bank.header");
-  w.u64(config_.max_coord);
-  w.u64(config_.instances);
-  w.u64(config_.seed);
+namespace ser {
+
+void put_single_bank(Writer& w, const BankGroup& bank) {
+  w.begin_section("single_bank.header");
+  w.u64(bank.max_coord());
+  w.u64(bank.instances());
+  w.u64(bank.seeds().at(0));
   w.end_section();
-  group_.serialize(w);
+  bank.serialize(w);
 }
 
-void SketchBank::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), config_.max_coord, "SketchBank max_coord");
-  ser::check_field(r.u64(), config_.instances, "SketchBank instances");
-  ser::check_field(r.u64(), config_.seed, "SketchBank seed");
-  group_.deserialize(r);
+void get_single_bank(Reader& r, BankGroup& bank) {
+  check_field(r.u64(), bank.max_coord(), "L0 bank max_coord");
+  check_field(r.u64(), bank.instances(), "L0 bank instances");
+  check_field(r.u64(), bank.seeds().at(0), "L0 bank seed");
+  bank.deserialize(r);
 }
+
+}  // namespace ser
 
 // ---- SparseRecoverySketch -----------------------------------------------
 

@@ -390,7 +390,7 @@ void MultipassSpanner::serialize(ser::Writer& w) const {
   w.u64(unrecovered_);
   w.u64(passes_done_);
   w.end_section();
-  to_sampled_.serialize(w);
+  ser::put_single_bank(w, to_sampled_);
   for (const LinearKeyValueSketch& table : per_cluster_) {
     table.serialize_state(w);
   }
@@ -428,7 +428,7 @@ void MultipassSpanner::deserialize(ser::Reader& r) {
   nominal_bytes_ = static_cast<std::size_t>(r.u64());
   unrecovered_ = static_cast<std::size_t>(r.u64());
   passes_done_ = static_cast<std::size_t>(r.u64());
-  to_sampled_.deserialize(r);
+  ser::get_single_bank(r, to_sampled_);
   for (LinearKeyValueSketch& table : per_cluster_) {
     table.deserialize_state(r);
   }

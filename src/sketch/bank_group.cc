@@ -32,9 +32,9 @@ BankGroup::BankGroup(std::size_t vertices, const BankGroupConfig& config)
   bases_.reserve(groups_);
   hashes_.reserve(groups_ * instances_);
   for (std::size_t g = 0; g < groups_; ++g) {
-    // Same derivation chain as a standalone SketchBank with seed seeds_[g]
-    // (basis at 0x10b, HashFamily at 0x10a with per-instance 0x9000 + i):
-    // group g's cells are bit-identical to that bank's.
+    // Group g derives only from seeds_[g] (basis at 0x10b, HashFamily at
+    // 0x10a with per-instance 0x9000 + i): its cells are bit-identical to
+    // those of a one-group bank with that seed.
     bases_.emplace_back(derive_seed(seeds_[g], 0x10b));
     const std::uint64_t family_seed = derive_seed(seeds_[g], 0x10a);
     for (std::size_t i = 0; i < instances_; ++i) {

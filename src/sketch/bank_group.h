@@ -2,11 +2,21 @@
 /// every layer's) per-vertex L0 cells in ONE contiguous vertex-major
 /// super-allocation, ingested by one staged sweep per batch.
 ///
-/// Semantically a BankGroup with G groups is G independent SketchBanks that
-/// share (vertices, max_coord, instances) and differ only in their seed --
-/// exactly the shape of AgmGraphSketch (one bank per round) and
-/// KConnectivitySketch (k layers x rounds banks).  Physically ALL cells live
-/// in one allocation, vertex-major:
+/// Each group is an n-vertex L0 bank: one L0 sampler per vertex, all on
+/// one seed, hence one hash family and fingerprint basis -- the sharing
+/// that makes per-vertex sketches summable across a supernode, which
+/// Boruvka-over-sketches requires.  Each sampler is the [JST11]/[AGM12a]
+/// level construction: level j keeps a one-sparse detector over the
+/// coordinates surviving rate-2^-j subsampling (nested, driven by one k-wise
+/// hash per instance); when the vector has L0 nonzeros the level near
+/// log2(L0) is one-sparse with constant probability, and `instances`
+/// independent copies boost that.  A BankGroup with G groups is G such
+/// banks that share (vertices, max_coord, instances) and differ only in
+/// their seed -- exactly the shape of AgmGraphSketch (one bank per round)
+/// and KConnectivitySketch (k layers x rounds banks).  Single-bank users
+/// (the additive spanner's center samplers, the multipass spanner's
+/// re-homing samplers) hold a one-group BankGroup.  Physically ALL cells
+/// live in one allocation, vertex-major:
 ///
 ///   cells_[(((vertex * G) + group) * instances + instance) * levels + level]
 ///
@@ -16,7 +26,7 @@
 /// contiguous coefficient matrix (KWiseHash keeps its coefficients inline,
 /// so a flat vector of them IS the matrix).
 ///
-/// Why fuse instead of one SketchBank per round (the PR3 layout):
+/// Why fuse instead of one bank per round:
 ///  * ingest_pairs(batch) stages each update ONCE -- endpoint validation,
 ///    the field image of delta, the weighted coordinate sums -- instead of
 ///    re-paying that staging loop per round, then drives one eval_many
@@ -32,11 +42,11 @@
 ///    the StreamEngine's sharded clone/fold path pays one virtual call per
 ///    shard instead of one per round.
 ///
-/// Randomness: group g with seed s derives exactly the constants a
-/// SketchBank(vertices, {max_coord, instances, s}) would (basis seed
-/// derive_seed(s, 0x10b), hash-family seed derive_seed(s, 0x10a)), so cells
-/// are bit-identical to the per-round banks they replace -- golden-pinned in
-/// tests/test_sketch_bank.cc.
+/// Randomness: group g with seed s derives its constants from s alone
+/// (basis seed derive_seed(s, 0x10b), hash-family seed
+/// derive_seed(s, 0x10a)), so its cells are bit-identical to a one-group
+/// bank seeded s -- golden-pinned in tests/test_sketch_bank.cc against
+/// one-group banks and a scalar per-level reference.
 #ifndef KW_SKETCH_BANK_GROUP_H
 #define KW_SKETCH_BANK_GROUP_H
 
@@ -146,7 +156,7 @@ class BankGroup {
                   std::size_t vertex, std::int64_t sign = 1) const;
 
   // Decodes a stripe-shaped cell run (e.g. an accumulate() sum) with group
-  // g's randomness: deepest level first per instance, the L0Sampler order.
+  // g's randomness: deepest level first per instance.
   [[nodiscard]] std::optional<Recovered> decode_cells(
       std::size_t group, std::span<const OneSparseCell> cells) const;
 
@@ -181,8 +191,8 @@ class BankGroup {
     return hashes_[group * instances_ + instance];
   }
 
-  // A borrowed single-group read surface shaped like the old per-round
-  // SketchBank (what agm_spanning_forest and the AGM tests consume).
+  // A borrowed single-group read surface (what agm_spanning_forest and the
+  // AGM tests consume).
   class View {
    public:
     View(const BankGroup& group, std::size_t g) : group_(&group), g_(g) {}

@@ -567,16 +567,6 @@ LinearKeyValueSketch::LinearKeyValueSketch(const LinearKvConfig& config)
   if (config.load_factor <= 0.0 || config.load_factor > 1.0) {
     throw std::invalid_argument("load_factor must be in (0,1]");
   }
-  // Radix-256 digit counts covering every term exponent, for the staged
-  // pow_pair_bytes walks (exponents are key + 1 <= max_key and
-  // payload_coord + 1 <= max_payload_coord).
-  key_bytes_ = std::max<std::size_t>(
-      1, (std::bit_width(std::max<std::uint64_t>(config.max_key, 1)) + 7) / 8);
-  payload_bytes_ = std::max<std::size_t>(
-      1, (std::bit_width(
-              std::max<std::uint64_t>(config.max_payload_coord, 1)) +
-          7) /
-             8);
 }
 
 LinearKeyValueSketch::Cell LinearKeyValueSketch::make_cell() const {
@@ -617,76 +607,6 @@ void LinearKeyValueSketch::update(std::uint64_t key, std::int64_t key_delta,
     if (payload_delta != 0) {
       payload_geometry_.update_state(cell.payload, payload_coord,
                                      payload_delta);
-    }
-    if (cell.is_zero()) cells_.erase(it);
-  }
-}
-
-void LinearKeyValueSketch::update_staged(std::uint64_t key,
-                                         std::int64_t key_delta,
-                                         std::uint64_t payload_coord,
-                                         std::int64_t payload_delta) {
-  const std::size_t payload_rows = payload_geometry_.rows();
-  if (payload_rows > kMaxStagedRows ||
-      key_bytes_ > FingerprintBasis::kPowBytes ||
-      payload_bytes_ > FingerprintBasis::kPowBytes) {
-    update(key, key_delta, payload_coord, payload_delta);
-    return;
-  }
-  if (key >= config_.max_key) {
-    throw std::out_of_range("kv sketch key out of range");
-  }
-  if (key_delta == 0 && payload_delta == 0) return;
-  if (cells_.empty()) {
-    cells_.reserve(std::min<std::size_t>(config_.tables * config_.capacity,
-                                         kFirstTouchReserve));
-  }
-  // Stage once what update() recomputes per cell: the key term pair (one
-  // radix-256 walk instead of one per table), the payload term pair (one
-  // instead of one per table per payload row), and the payload row buckets
-  // (identical for every table).
-  std::uint64_t kt1 = 0;
-  std::uint64_t kt2 = 0;
-  if (key_delta != 0) {
-    key_basis_.pow_pair_bytes(key + 1, key_bytes_, &kt1, &kt2);
-    const std::uint64_t df = field_from_signed(key_delta);
-    if (df != 1) {
-      kt1 = field_mul(df, kt1);
-      kt2 = field_mul(df, kt2);
-    }
-  }
-  std::uint64_t pt1 = 0;
-  std::uint64_t pt2 = 0;
-  std::uint32_t pcell[kMaxStagedRows] = {0, 0, 0, 0};
-  if (payload_delta != 0) {
-    if (payload_coord >= config_.max_payload_coord) {
-      throw std::out_of_range("sparse recovery coordinate out of range");
-    }
-    payload_geometry_.basis().pow_pair_bytes(payload_coord + 1, payload_bytes_,
-                                             &pt1, &pt2);
-    const std::uint64_t df = field_from_signed(payload_delta);
-    if (df != 1) {
-      pt1 = field_mul(df, pt1);
-      pt2 = field_mul(df, pt2);
-    }
-    for (std::size_t row = 0; row < payload_rows; ++row) {
-      pcell[row] = static_cast<std::uint32_t>(
-          payload_geometry_.cell_index(row, payload_coord));
-    }
-  }
-  for (std::size_t t = 0; t < config_.tables; ++t) {
-    const std::uint64_t s = slot(t, key);
-    auto it = cells_.find(s);
-    if (it == cells_.end()) it = cells_.emplace(s, make_cell()).first;
-    Cell& cell = it->second;
-    if (key_delta != 0) {
-      cell.key_part.add_term(key, key_delta, kt1, kt2);
-    }
-    if (payload_delta != 0) {
-      for (std::size_t row = 0; row < payload_rows; ++row) {
-        cell.payload[pcell[row]].add_term(payload_coord, payload_delta, pt1,
-                                          pt2);
-      }
     }
     if (cell.is_zero()) cells_.erase(it);
   }

@@ -320,20 +320,6 @@ class LinearKeyValueSketch {
   void update(std::uint64_t key, std::int64_t key_delta,
               std::uint64_t payload_coord, std::int64_t payload_delta);
 
-  // update() with the per-update randomness staged once: the key
-  // fingerprint term (recomputed per table by update()), the payload
-  // fingerprint term (recomputed per payload row per table by update()),
-  // and the payload row buckets (identical across tables -- they share the
-  // payload geometry) are each computed a single time and reused by every
-  // cell the update lands in.  Power walks ride the radix-256 tables
-  // (pow_pair_bytes) instead of per-set-bit square chains.  The final
-  // sketch state is bit-identical to update() -- same field arithmetic,
-  // same cells, same erase-at-zero behavior -- which the fused-spanner
-  // golden tests pin.  Falls back to update() for payload_rows beyond the
-  // staged fast path.
-  void update_staged(std::uint64_t key, std::int64_t key_delta,
-                     std::uint64_t payload_coord, std::int64_t payload_delta);
-
   // this += sign * other (same configuration required).
   void merge(const LinearKeyValueSketch& other, std::int64_t sign = 1);
 
@@ -379,12 +365,8 @@ class LinearKeyValueSketch {
   [[nodiscard]] std::uint64_t slot(std::size_t table, std::uint64_t key) const;
   [[nodiscard]] Cell make_cell() const;
 
-  static constexpr std::size_t kMaxStagedRows = 4;
-
   LinearKvConfig config_;
   std::size_t cells_per_table_;
-  std::size_t key_bytes_ = 1;      // radix-256 digits covering key + 1
-  std::size_t payload_bytes_ = 1;  // radix-256 digits covering coord + 1
   FingerprintBasis key_basis_;
   SparseRecoverySketch payload_geometry_;  // zero sketch: hashes/basis only
   HashFamily table_hashes_;

@@ -4,8 +4,7 @@
 // the compiler emits a portable baseline clone plus an x86-64-v3-class clone
 // (AVX2 + BMI2 -- flexible-register MULX is what the F_{2^61-1} multiply
 // chains want) and installs an ifunc resolver that picks per CPU at load
-// time.  The build stays portable; no -march flag required (the opt-in
-// KW_NATIVE CMake toggle exists for whole-program native builds).
+// time.  The build stays portable; no -march flag required.
 //
 // Disabled under sanitizers (ifunc resolvers run before the ASan runtime is
 // ready) and on toolchains without the attribute, where it expands to

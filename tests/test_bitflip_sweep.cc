@@ -1,5 +1,5 @@
 // Deterministic bit-flip sweep over every serialized envelope type: for
-// each of the 13 serializable types, corrupt single bytes across the whole
+// each of the 12 serializable types, corrupt single bytes across the whole
 // envelope (header, payload, trailing CRC) and demand ser::load_from_bytes
 // throw SerializeError -- never parse garbage, never crash (CI runs this
 // suite under ASan/UBSan).  The envelope reads and CRC-verifies the payload
@@ -25,7 +25,6 @@
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
 
@@ -118,17 +117,6 @@ TEST(BitflipSweep, LinearKv) {
     a.update(k * 997 % (1 << 16), 1, (k * 13) % (1 << 10), 1);
   }
   LinearKeyValueSketch b(config);
-  sweep_bitflips(a, b);
-}
-
-TEST(BitflipSweep, SketchBank) {
-  SketchBankConfig config;
-  config.max_coord = 1 << 12;
-  config.instances = 3;
-  config.seed = 24;
-  SketchBank a(64, config);
-  for (std::size_t v = 0; v < 64; ++v) a.update(v, (v * 7) % 4096, 1);
-  SketchBank b(64, config);
   sweep_bitflips(a, b);
 }
 

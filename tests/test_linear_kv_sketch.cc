@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "serialize/binary_io.h"
@@ -166,47 +165,6 @@ TEST(LinearKv, IncompatibleMergeThrows) {
 TEST(LinearKv, KeyOutOfRangeThrows) {
   LinearKeyValueSketch sketch(make_config(8, 1));
   EXPECT_THROW(sketch.update(1 << 16, 1, 0, 1), std::out_of_range);
-  EXPECT_THROW(sketch.update_staged(1 << 16, 1, 0, 1), std::out_of_range);
-}
-
-TEST(LinearKv, StagedUpdateMatchesScalarUpdateExactly) {
-  // update_staged() computes the key/payload fingerprint terms and payload
-  // row buckets once and fans them out; the resulting sketch state must be
-  // indistinguishable from per-cell update() -- same decode, same touched
-  // cells (the erase-at-zero behavior included), subtract-merge to zero.
-  Rng rng(777);
-  LinearKeyValueSketch scalar(make_config(24, 9));
-  LinearKeyValueSketch staged(make_config(24, 9));
-  std::vector<std::tuple<std::uint64_t, std::int64_t, std::uint64_t,
-                         std::int64_t>> ops;
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t key = rng.next_below(40);
-    const std::uint64_t coord = rng.next_below(64);
-    const auto delta = static_cast<std::int64_t>(1 + rng.next_below(3));
-    ops.emplace_back(key, delta, coord, delta);
-  }
-  // Interleave cancellations so some cells pass through exact zero.
-  for (int i = 0; i < 400; i += 3) {
-    auto [key, kd, coord, pd] = ops[i];
-    ops.emplace_back(key, -kd, coord, -pd);
-  }
-  for (const auto& [key, kd, coord, pd] : ops) {
-    scalar.update(key, kd, coord, pd);
-    staged.update_staged(key, kd, coord, pd);
-  }
-  EXPECT_EQ(scalar.touched_bytes(), staged.touched_bytes());
-  const auto ds = scalar.decode();
-  const auto dt = staged.decode();
-  ASSERT_TRUE(ds.has_value());
-  ASSERT_TRUE(dt.has_value());
-  ASSERT_EQ(ds->size(), dt->size());
-  for (std::size_t i = 0; i < ds->size(); ++i) {
-    EXPECT_EQ((*ds)[i].key, (*dt)[i].key);
-    EXPECT_EQ((*ds)[i].key_count, (*dt)[i].key_count);
-  }
-  // Subtract-merge must cancel to exactly zero: cell-level bit identity.
-  staged.merge(scalar, -1);
-  EXPECT_TRUE(staged.is_zero());
 }
 
 // Load sweep: at or below capacity decode succeeds nearly always.

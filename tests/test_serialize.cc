@@ -28,7 +28,6 @@
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
 #include "sketch/linear_kv_sketch.h"
-#include "sketch/sketch_bank.h"
 #include "sketch/sparse_recovery.h"
 #include "stream/dynamic_stream.h"
 
@@ -215,13 +214,14 @@ TEST(SerializeRoundTrip, LinearKv) {
 }
 
 TEST(SerializeRoundTrip, SketchBankAndBankGroup) {
-  SketchBankConfig config;
+  // One group (a single per-vertex L0 bank), then several.
+  BankGroupConfig config;
   config.max_coord = 1 << 12;
   config.instances = 3;
-  config.seed = 24;
-  SketchBank a(64, config);
-  for (std::size_t v = 0; v < 64; ++v) a.update(v, (v * 7) % 4096, 1);
-  SketchBank b(64, config);
+  config.seeds = {24};
+  BankGroup a(64, config);
+  for (std::size_t v = 0; v < 64; ++v) a.update(0, v, (v * 7) % 4096, 1);
+  BankGroup b(64, config);
   expect_round_trip_identity(a, b);
 
   BankGroupConfig gconfig;
@@ -393,6 +393,66 @@ TEST(Serialize, FinishedSpannerRefusesToSerialize) {
   }());
   StreamEngine::run_single(spanner, stream);
   EXPECT_THROW((void)ser::save_to_bytes(spanner), ser::SerializeError);
+}
+
+// ---- golden bytes ---------------------------------------------------------
+//
+// FNV-1a digests of whole envelopes whose payloads carry one-group L0 banks
+// behind the 3-u64 bank header (max_coord, instances, seed).  Round trips
+// only prove save(load(x)) == x; these pin the bytes themselves, so any
+// change to the wire layout of these payloads fails here.  The digests were
+// taken when these banks were still a dedicated wrapper type with its own
+// serializer.
+
+[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SerializeGolden, AdditiveSpannerMidStream) {
+  const DynamicStream stream = test_stream(48, 200, 60, 150);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  AdditiveConfig config;
+  config.d = 4.0;
+  config.seed = 51;
+  AdditiveSpannerSketch spanner(48, config);
+  spanner.absorb({updates.data(), updates.size() / 2});
+  const std::string bytes = ser::save_to_bytes(spanner);
+  EXPECT_EQ(bytes.size(), 878414u);
+  EXPECT_EQ(fnv1a(bytes), 0x8dddc8ca865e8dbeULL);
+}
+
+[[nodiscard]] MultipassConfig golden_multipass_config() {
+  MultipassConfig config;
+  config.k = 3;
+  config.seed = 52;
+  return config;
+}
+
+TEST(SerializeGolden, MultipassSpannerPhase1) {
+  const DynamicStream stream = test_stream(32, 120, 40, 151);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  MultipassSpanner spanner(32, golden_multipass_config());
+  spanner.absorb({updates.data(), updates.size() / 2});
+  const std::string bytes = ser::save_to_bytes(spanner);
+  EXPECT_EQ(bytes.size(), 392677u);
+  EXPECT_EQ(fnv1a(bytes), 0xb625e2b4454c200eULL);
+}
+
+TEST(SerializeGolden, MultipassSpannerPhase2) {
+  const DynamicStream stream = test_stream(32, 120, 40, 151);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  MultipassSpanner spanner(32, golden_multipass_config());
+  spanner.absorb({updates.data(), updates.size()});
+  spanner.advance_pass();
+  spanner.absorb({updates.data(), updates.size() / 3});
+  const std::string bytes = ser::save_to_bytes(spanner);
+  EXPECT_EQ(bytes.size(), 219397u);
+  EXPECT_EQ(fnv1a(bytes), 0xb08ee70c9c87454bULL);
 }
 
 // ---- the distributed merge protocol --------------------------------------
@@ -825,6 +885,107 @@ TEST(SerializeHostile, KvBankEntryCountIsBounded) {
   KvTableBank dst(config, 3);
   ser::Reader r(clean.data(), clean.size());
   EXPECT_NO_THROW(dst.deserialize_state(r));
+}
+
+// A finished KConnectivitySketch stores its certificate graph as a vertex
+// count, an edge count, then (u, v, weight) per edge.  The count must be the
+// sketch's n and every edge must join two distinct vertices below it;
+// otherwise Graph throws std::invalid_argument / std::out_of_range, or
+// allocates 2^32 adjacency lists, and checkpoint recovery catches none of
+// those.
+
+[[nodiscard]] std::uint64_t read_u64(const std::vector<unsigned char>& bytes,
+                                     std::size_t offset) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= std::uint64_t{bytes[offset + i]} << (8 * i);
+  }
+  return v;
+}
+
+void patch_u32(std::vector<unsigned char>& bytes, std::size_t offset,
+               std::uint32_t value) {
+  ASSERT_LE(offset + 4, bytes.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<unsigned char>(value >> (8 * i));
+  }
+}
+
+struct CertificateBytes {
+  std::vector<unsigned char> bytes;
+  std::size_t graph_at = 0;  // offset of the certificate's vertex count
+};
+
+constexpr Vertex kCertN = 24;
+
+[[nodiscard]] AgmConfig certificate_config() {
+  AgmConfig config;
+  config.seed = 44;
+  return config;
+}
+
+[[nodiscard]] CertificateBytes finished_certificate() {
+  const DynamicStream stream = test_stream(kCertN, 80, 20, 142);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  KConnectivitySketch sketch(kCertN, 2, certificate_config());
+  sketch.absorb({updates.data(), updates.size()});
+  sketch.finish();
+  ser::Writer w;
+  sketch.serialize(w);
+  CertificateBytes out{w.buffer(), 0};
+  // k_connectivity.result: finished and result flags, the forest count,
+  // then each forest as a length-prefixed list of 16-byte edges.
+  std::size_t at = section_offset(w, "k_connectivity.result") + 2;
+  const std::uint64_t forests = read_u64(out.bytes, at);
+  at += 8;
+  for (std::uint64_t f = 0; f < forests; ++f) {
+    at += 8 + 16 * read_u64(out.bytes, at);
+  }
+  out.graph_at = at;
+  return out;
+}
+
+void expect_certificate_rejected(const std::vector<unsigned char>& bytes) {
+  KConnectivitySketch dst(kCertN, 2, certificate_config());
+  expect_rejected(bytes, dst);
+}
+
+TEST(SerializeHostile, CertificateVertexCountMustMatch) {
+  const CertificateBytes clean = finished_certificate();
+  {
+    KConnectivitySketch dst(kCertN, 2, certificate_config());
+    ser::Reader r(clean.bytes.data(), clean.bytes.size());
+    ASSERT_NO_THROW(dst.deserialize(r));
+  }
+  for (const std::uint32_t n : {kCertN - 1, kCertN + 1, ~std::uint32_t{0}}) {
+    std::vector<unsigned char> bytes = clean.bytes;
+    patch_u32(bytes, clean.graph_at, n);
+    expect_certificate_rejected(bytes);
+  }
+}
+
+TEST(SerializeHostile, CertificateEndpointsOutOfRangeRejected) {
+  const CertificateBytes clean = finished_certificate();
+  ASSERT_GT(read_u64(clean.bytes, clean.graph_at + 4), 0u);
+  const std::size_t edge_at = clean.graph_at + 4 + 8;
+  for (const std::size_t offset : {edge_at, edge_at + 4}) {
+    for (const std::uint32_t endpoint : {kCertN, ~std::uint32_t{0}}) {
+      std::vector<unsigned char> bytes = clean.bytes;
+      patch_u32(bytes, offset, endpoint);
+      expect_certificate_rejected(bytes);
+    }
+  }
+}
+
+TEST(SerializeHostile, CertificateSelfLoopRejected) {
+  const CertificateBytes clean = finished_certificate();
+  ASSERT_GT(read_u64(clean.bytes, clean.graph_at + 4), 0u);
+  const std::size_t edge_at = clean.graph_at + 4 + 8;
+  std::vector<unsigned char> bytes = clean.bytes;
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[edge_at + 4 + i] = bytes[edge_at + i];  // v := u
+  }
+  expect_certificate_rejected(bytes);
 }
 
 }  // namespace

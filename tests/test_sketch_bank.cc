@@ -1,21 +1,20 @@
-// SketchBank correctness pins (satellites of the flat hot-path refactor):
+// L0 bank correctness pins.  The SketchBank* suites run on one-group
+// BankGroups (a single n-vertex bank); the BankGroup* suites on several
+// groups.
 //
 //  1. Golden decode-equivalence: the bank's fast paths (threshold level
 //     computation, precomputed fingerprint terms, shared pair hashing,
-//     batched ingest) produce cells BIT-IDENTICAL to the legacy scalar
-//     L0Sampler algorithm (per-level loop-and-branch, OneSparseCell::add per
-//     cell), reproduced here from the bank's own randomness accessors.
+//     batched ingest) produce cells BIT-IDENTICAL to the scalar per-vertex
+//     L0 sampler algorithm (per-level loop-and-branch, OneSparseCell::add
+//     per cell), reproduced here from the bank's own randomness accessors.
 //  2. Merge semantics on the bank: associativity/commutativity and k-way
 //     shard/merge identity, mirroring tests/test_merge_semantics.cc at the
 //     bank level (exact cell equality, not just equal decodes).
-//  3. Wrapper consistency: L0Sampler (bank-of-one) matches a multi-vertex
-//     bank fed the same per-vertex updates.
-//  4. BankGroup (the fused multi-round layout): cells bit-identical to an
-//     array of per-round SketchBanks with the same seeds across every
-//     ingest path (batched pairs incl. churn aggregation, batched vertex
-//     updates, scalar, sparse fallback), plus group-level merge
-//     associativity/commutativity, k-way shard identity, and churn
-//     cancellation.
+//  3. Multiple groups: cells bit-identical to an array of one-group banks
+//     with the same seeds across every ingest path (batched pairs incl.
+//     churn aggregation, batched vertex updates, scalar, sparse fallback),
+//     plus group-level merge associativity/commutativity, k-way shard
+//     identity, and churn cancellation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,8 +22,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sketch/l0_sampler.h"
-#include "sketch/sketch_bank.h"
+#include "sketch/bank_group.h"
 #include "util/prime_field.h"
 #include "util/random.h"
 
@@ -33,12 +31,13 @@ namespace {
 
 constexpr std::uint64_t kMaxCoord = 1 << 14;
 
-[[nodiscard]] SketchBankConfig bank_config(std::uint64_t seed,
-                                           std::size_t instances = 4) {
-  SketchBankConfig c;
+// One group: a single n-vertex L0 bank.
+[[nodiscard]] BankGroupConfig bank_config(std::uint64_t seed,
+                                          std::size_t instances = 4) {
+  BankGroupConfig c;
   c.max_coord = kMaxCoord;
   c.instances = instances;
-  c.seed = seed;
+  c.seeds = {seed};
   return c;
 }
 
@@ -68,19 +67,19 @@ struct Update {
   return updates;
 }
 
-// The pre-bank scalar L0Sampler update algorithm, verbatim: per-instance
+// The pre-bank scalar L0 sampler update algorithm, verbatim: per-instance
 // hash evaluation, then a per-level loop that breaks at the first level the
 // hash value fails to survive.
-void scalar_reference_update(const SketchBank& geometry,
+void scalar_reference_update(const BankGroup& geometry,
                              std::vector<OneSparseCell>& cells,
                              std::uint64_t coord, std::int64_t delta) {
   if (delta == 0) return;
   const std::size_t levels = geometry.levels();
   for (std::size_t inst = 0; inst < geometry.instances(); ++inst) {
-    const std::uint64_t h = geometry.level_hash(inst)(coord);
+    const std::uint64_t h = geometry.level_hash(0, inst)(coord);
     for (std::size_t j = 0; j < levels; ++j) {
       if (j > 0 && h >= (kFieldPrime >> j)) break;
-      cells[inst * levels + j].add(coord, delta, geometry.basis());
+      cells[inst * levels + j].add(coord, delta, geometry.basis(0));
     }
   }
 }
@@ -99,20 +98,20 @@ void expect_cells_equal(std::span<const OneSparseCell> a,
 // ---- golden equivalence with the scalar path ------------------------------
 
 TEST(SketchBankGolden, UpdateMatchesScalarReferenceCells) {
-  SketchBank bank(3, bank_config(42));
+  BankGroup bank(3, bank_config(42));
   std::vector<std::vector<OneSparseCell>> reference(
       3, std::vector<OneSparseCell>(bank.cells_per_vertex()));
   for (const Update& u : make_updates(3, 7)) {
-    bank.update(u.vertex, u.coord, u.delta);
+    bank.update(0, u.vertex, u.coord, u.delta);
     scalar_reference_update(bank, reference[u.vertex], u.coord, u.delta);
   }
   for (std::size_t v = 0; v < 3; ++v) {
-    expect_cells_equal(bank.stripe(v), reference[v]);
+    expect_cells_equal(bank.stripe(0, v), reference[v]);
   }
 }
 
 TEST(SketchBankGolden, PairUpdateMatchesScalarReferenceCells) {
-  SketchBank bank(4, bank_config(43));
+  BankGroup bank(4, bank_config(43));
   std::vector<std::vector<OneSparseCell>> reference(
       4, std::vector<OneSparseCell>(bank.cells_per_vertex()));
   Rng rng(9);
@@ -121,17 +120,17 @@ TEST(SketchBankGolden, PairUpdateMatchesScalarReferenceCells) {
     const auto hi = (lo + 1 + rng.next_below(3)) % 4;
     const std::uint64_t coord = rng.next_below(kMaxCoord);
     const std::int64_t delta = 1 + static_cast<std::int64_t>(rng.next_below(3));
-    bank.update_pair(lo, hi, coord, delta);
+    bank.update_pair(0, 1, lo, hi, coord, delta);
     scalar_reference_update(bank, reference[lo], coord, delta);
     scalar_reference_update(bank, reference[hi], coord, -delta);
   }
   for (std::size_t v = 0; v < 4; ++v) {
-    expect_cells_equal(bank.stripe(v), reference[v]);
+    expect_cells_equal(bank.stripe(0, v), reference[v]);
   }
 }
 
 TEST(SketchBankGolden, BatchedIngestMatchesScalarReferenceCells) {
-  SketchBank bank(8, bank_config(44));
+  BankGroup bank(8, bank_config(44));
   std::vector<std::vector<OneSparseCell>> reference(
       8, std::vector<OneSparseCell>(bank.cells_per_vertex()));
   Rng rng(11);
@@ -148,7 +147,7 @@ TEST(SketchBankGolden, BatchedIngestMatchesScalarReferenceCells) {
   }
   bank.ingest_pairs(batch);
   for (std::size_t v = 0; v < 8; ++v) {
-    expect_cells_equal(bank.stripe(v), reference[v]);
+    expect_cells_equal(bank.stripe(0, v), reference[v]);
   }
 }
 
@@ -156,41 +155,15 @@ TEST(SketchBankGolden, DecodeMatchesScalarReferenceDecode) {
   // Decode goes through the same classify_cell as the legacy path, so cell
   // equality implies decode equality; pin it end-to-end anyway on a
   // single-support vector per vertex.
-  SketchBank bank(5, bank_config(45));
+  BankGroup bank(5, bank_config(45));
   for (std::size_t v = 0; v < 5; ++v) {
-    bank.update(v, 100 + v, 3);
+    bank.update(0, v, 100 + v, 3);
   }
   for (std::size_t v = 0; v < 5; ++v) {
-    const auto rec = bank.decode(v);
+    const auto rec = bank.decode(0, v);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->coord, 100 + v);
     EXPECT_EQ(rec->value, 3);
-  }
-}
-
-// ---- wrapper consistency --------------------------------------------------
-
-TEST(SketchBank, WrapperSamplersMatchBankStripes) {
-  const auto updates = make_updates(4, 21);
-  SketchBank bank(4, bank_config(46));
-  L0SamplerConfig sc;
-  sc.max_coord = kMaxCoord;
-  sc.instances = 4;
-  sc.seed = 46;
-  std::vector<L0Sampler> samplers(4, L0Sampler(sc));
-  for (const Update& u : updates) {
-    bank.update(u.vertex, u.coord, u.delta);
-    samplers[u.vertex].update(u.coord, u.delta);
-  }
-  for (std::size_t v = 0; v < 4; ++v) {
-    expect_cells_equal(bank.stripe(v), samplers[v].bank().stripe(0));
-    const auto a = bank.decode(v);
-    const auto b = samplers[v].decode();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (a.has_value()) {
-      EXPECT_EQ(a->coord, b->coord);
-      EXPECT_EQ(a->value, b->value);
-    }
   }
 }
 
@@ -199,61 +172,61 @@ TEST(SketchBank, WrapperSamplersMatchBankStripes) {
 TEST(SketchBankMerge, KWayShardMergeEqualsSequential) {
   constexpr std::size_t kParts = 5;
   const auto updates = make_updates(6, 31);
-  SketchBank sequential(6, bank_config(47));
-  std::vector<SketchBank> parts(kParts, SketchBank(6, bank_config(47)));
+  BankGroup sequential(6, bank_config(47));
+  std::vector<BankGroup> parts(kParts, BankGroup(6, bank_config(47)));
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const Update& u = updates[i];
-    sequential.update(u.vertex, u.coord, u.delta);
-    parts[i % kParts].update(u.vertex, u.coord, u.delta);
+    sequential.update(0, u.vertex, u.coord, u.delta);
+    parts[i % kParts].update(0, u.vertex, u.coord, u.delta);
   }
-  SketchBank merged = parts[0].clone_empty();
-  for (const SketchBank& p : parts) merged.merge(p, 1);
+  BankGroup merged = parts[0].clone_empty();
+  for (const BankGroup& p : parts) merged.merge(p, 1);
   for (std::size_t v = 0; v < 6; ++v) {
-    expect_cells_equal(merged.stripe(v), sequential.stripe(v));
+    expect_cells_equal(merged.stripe(0, v), sequential.stripe(0, v));
   }
 }
 
 TEST(SketchBankMerge, CommutativeAndAssociative) {
   const auto updates = make_updates(3, 37);
-  std::vector<SketchBank> parts(3, SketchBank(3, bank_config(48)));
+  std::vector<BankGroup> parts(3, BankGroup(3, bank_config(48)));
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const Update& u = updates[i];
-    parts[i % 3].update(u.vertex, u.coord, u.delta);
+    parts[i % 3].update(0, u.vertex, u.coord, u.delta);
   }
 
-  SketchBank ab = parts[0];
+  BankGroup ab = parts[0];
   ab.merge(parts[1], 1);
-  SketchBank ba = parts[1];
+  BankGroup ba = parts[1];
   ba.merge(parts[0], 1);
-  SketchBank ab_c = ab;  // (a+b)+c
+  BankGroup ab_c = ab;  // (a+b)+c
   ab_c.merge(parts[2], 1);
-  SketchBank bc = parts[1];  // a+(b+c)
+  BankGroup bc = parts[1];  // a+(b+c)
   bc.merge(parts[2], 1);
-  SketchBank a_bc = parts[0];
+  BankGroup a_bc = parts[0];
   a_bc.merge(bc, 1);
 
   for (std::size_t v = 0; v < 3; ++v) {
-    expect_cells_equal(ab.stripe(v), ba.stripe(v));
-    expect_cells_equal(ab_c.stripe(v), a_bc.stripe(v));
+    expect_cells_equal(ab.stripe(0, v), ba.stripe(0, v));
+    expect_cells_equal(ab_c.stripe(0, v), a_bc.stripe(0, v));
   }
 }
 
 TEST(SketchBankMerge, SignedMergeCancelsExactly) {
   const auto updates = make_updates(2, 41);
-  SketchBank a(2, bank_config(49));
-  SketchBank b(2, bank_config(49));
+  BankGroup a(2, bank_config(49));
+  BankGroup b(2, bank_config(49));
   for (const Update& u : updates) {
-    a.update(u.vertex, u.coord, u.delta);
-    b.update(u.vertex, u.coord, u.delta);
+    a.update(0, u.vertex, u.coord, u.delta);
+    b.update(0, u.vertex, u.coord, u.delta);
   }
   a.merge(b, -1);
   EXPECT_TRUE(a.is_zero());
 }
 
 TEST(SketchBankMerge, RejectsIncompatibleBanks) {
-  SketchBank a(2, bank_config(50));
-  SketchBank b(3, bank_config(50));
-  SketchBank c(2, bank_config(51));
+  BankGroup a(2, bank_config(50));
+  BankGroup b(3, bank_config(50));
+  BankGroup c(2, bank_config(51));
   EXPECT_THROW(a.merge(b, 1), std::invalid_argument);
   EXPECT_THROW(a.merge(c, 1), std::invalid_argument);
 }
@@ -261,30 +234,31 @@ TEST(SketchBankMerge, RejectsIncompatibleBanks) {
 // ---- accumulate / decode_cells (the forest-builder surface) ---------------
 
 TEST(SketchBank, AccumulateSumsStripesAndDecodes) {
-  SketchBank bank(3, bank_config(52));
+  BankGroup bank(3, bank_config(52));
   // Edge {0,1} internal to the set {0,1}; edge with coord 77 leaves it.
-  bank.update_pair(0, 1, 5, 1);  // cancels under accumulate over {0,1}
-  bank.update(0, 77, 1);         // boundary contribution survives
+  bank.update_pair(0, 1, 0, 1, 5, 1);  // cancels under accumulate over {0,1}
+  bank.update(0, 0, 77, 1);            // boundary contribution survives
   std::vector<OneSparseCell> acc(bank.cells_per_vertex());
-  bank.accumulate(acc, 0, 1);
-  bank.accumulate(acc, 1, 1);
-  const auto rec = bank.decode_cells(acc);
+  bank.accumulate(acc, 0, 0, 1);
+  bank.accumulate(acc, 0, 1, 1);
+  const auto rec = bank.decode_cells(0, acc);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->coord, 77u);
   EXPECT_EQ(rec->value, 1);
 }
 
 TEST(SketchBank, RangeChecks) {
-  SketchBank bank(2, bank_config(53));
-  EXPECT_THROW(bank.update(2, 0, 1), std::out_of_range);
-  EXPECT_THROW(bank.update(0, kMaxCoord, 1), std::out_of_range);
-  EXPECT_THROW(bank.update_pair(0, 0, 1, 1), std::out_of_range);
+  BankGroup bank(2, bank_config(53));
+  EXPECT_THROW(bank.update(0, 2, 0, 1), std::out_of_range);
+  EXPECT_THROW(bank.update(0, 0, kMaxCoord, 1), std::out_of_range);
+  EXPECT_THROW(bank.update_pair(0, 1, 0, 0, 1, 1), std::out_of_range);
 }
 
 // ---- BankGroup: the fused multi-round layout ------------------------------
 //
 // The fused group must be bit-identical to an array of independent
-// per-round SketchBanks with the same seeds -- the layout it replaced.
+// one-group banks with the same seeds (one bank per round, the layout it
+// replaced).
 
 [[nodiscard]] std::vector<std::uint64_t> group_seeds(std::uint64_t base,
                                                      std::size_t rounds) {
@@ -331,10 +305,9 @@ TEST(BankGroupGolden, CellsMatchPerRoundSketchBanks) {
   constexpr std::size_t kRounds = 5;
   constexpr std::size_t kVertices = 8;
   BankGroup group(kVertices, group_config(91, kRounds));
-  std::vector<SketchBank> banks;
+  std::vector<BankGroup> banks;
   for (std::size_t g = 0; g < kRounds; ++g) {
-    SketchBankConfig c = bank_config(group_seeds(91, kRounds)[g]);
-    banks.emplace_back(kVertices, c);
+    banks.emplace_back(kVertices, bank_config(group_seeds(91, kRounds)[g]));
   }
   // Mixed ingest: batched (with churn duplicates, so aggregation and the
   // net-zero drop are exercised), scalar pair updates, and single updates.
@@ -344,12 +317,12 @@ TEST(BankGroupGolden, CellsMatchPerRoundSketchBanks) {
   group.update_pair(0, kRounds, 1, 5, 123, 2);
   group.update(2, 3, 99, -1);
   for (std::size_t g = 0; g < kRounds; ++g) {
-    banks[g].update_pair(1, 5, 123, 2);
-    if (g == 2) banks[g].update(3, 99, -1);
+    banks[g].update_pair(0, 1, 1, 5, 123, 2);
+    if (g == 2) banks[g].update(0, 3, 99, -1);
   }
   for (std::size_t g = 0; g < kRounds; ++g) {
     for (std::size_t v = 0; v < kVertices; ++v) {
-      expect_cells_equal(group.stripe(g, v), banks[g].stripe(v));
+      expect_cells_equal(group.stripe(g, v), banks[g].stripe(0, v));
     }
   }
 }
@@ -464,20 +437,20 @@ TEST(BankGroupMerge, RejectsIncompatibleGroups) {
 TEST(BankGroup, ViewDecodesLikeStandaloneBank) {
   constexpr std::size_t kRounds = 3;
   BankGroup group(5, group_config(98, kRounds));
-  SketchBank bank(5, bank_config(group_seeds(98, kRounds)[1]));
+  BankGroup bank(5, bank_config(group_seeds(98, kRounds)[1]));
   for (std::size_t v = 0; v < 5; ++v) {
     group.update(1, v, 200 + v, 3);
-    bank.update(v, 200 + v, 3);
+    bank.update(0, v, 200 + v, 3);
   }
   const BankGroup::View view = group.view(1);
   for (std::size_t v = 0; v < 5; ++v) {
     const auto a = view.decode(v);
-    const auto b = bank.decode(v);
+    const auto b = bank.decode(0, v);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(a->coord, b->coord);
     EXPECT_EQ(a->value, b->value);
-    expect_cells_equal(view.stripe(v), bank.stripe(v));
+    expect_cells_equal(view.stripe(v), bank.stripe(0, v));
   }
 }
 

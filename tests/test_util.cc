@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <chrono>
 #include <thread>
 
 #include "util/bit_util.h"
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace kw {
@@ -58,24 +57,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_LT(ms, 2000.0);
   timer.reset();
   EXPECT_LT(timer.millis(), 15.0);
-}
-
-TEST(Logging, ThresholdRespected) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below threshold: silently dropped (no observable side effect to assert
-  // beyond not crashing).
-  KW_LOG(kDebug) << "dropped " << 42;
-  KW_LOG(kInfo) << "dropped too";
-  set_log_level(old);
-}
-
-TEST(Logging, StreamsArbitraryTypes) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);  // keep test output clean
-  KW_LOG(kWarn) << "mix " << 1 << " " << 2.5 << " " << std::string("str");
-  set_log_level(old);
 }
 
 }  // namespace
