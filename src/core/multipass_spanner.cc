@@ -56,21 +56,20 @@ MultipassSpanner::MultipassSpanner(const MultipassSpanner& other,
       phase_(other.phase_),
       survive_rate_(other.survive_rate_),
       cluster_of_(other.cluster_of_),
-      survives_(other.survives_) {
+      survives_(other.survives_),
+      table_geometry_(other.table_geometry_) {
   // Clustering decisions (cluster_of_, survives_) are fixed before each
   // pass; only the linear per-vertex sketches accumulate during it, and
-  // they are seed-determined by (config, phase), so fresh ones are the
-  // zero state with matching randomness.  edges_ / result counters live on
-  // the primary alone -- clones never re-home.
+  // they are seed-determined by (config, phase), so fresh ones over the
+  // primary's geometry are the zero state with matching randomness.
+  // edges_ / result counters live on the primary alone -- clones never
+  // re-home.
   make_phase_sketches();
 }
 
 void MultipassSpanner::make_phase_sketches() {
   to_sampled_ = BankGroup(n_, sampler_config(n_, config_, phase_));
-  // Copies of one prototype share the fingerprint pow tables (all vertices
-  // use the same phase seed).
-  per_cluster_.assign(n_,
-                      LinearKeyValueSketch(table_config(n_, config_, phase_)));
+  per_cluster_.assign(n_, KvTableBank(table_geometry_, 0, /*levels=*/1));
 }
 
 void MultipassSpanner::begin_phase() {
@@ -84,12 +83,22 @@ void MultipassSpanner::begin_phase() {
       survives_[c] = survive_hash.unit(c) < survive_rate_ ? 1 : 0;
     }
   }
+  // One geometry for every vertex's table this phase.  Not staged: the
+  // payload space is num_pairs(n), too large to tabulate per coordinate.
+  table_geometry_ = KvBankGeometry::make({table_config(n_, config_, phase_)});
   make_phase_sketches();
 }
 
 void MultipassSpanner::absorb(std::span<const EdgeUpdate> batch) {
   if (finished_) {
     throw std::logic_error("MultipassSpanner: absorb() after finish()");
+  }
+  // Whole-batch validation before the first write: a bad endpoint leaves
+  // every sketch untouched.
+  for (const EdgeUpdate& upd : batch) {
+    if (upd.u != upd.v && (upd.u >= n_ || upd.v >= n_)) {
+      throw std::out_of_range("MultipassSpanner: update endpoint >= n");
+    }
   }
   const bool final_phase = phase_ == config_.k;
   // Re-homing sampler updates are gathered into a reused staging buffer and
@@ -110,7 +119,7 @@ void MultipassSpanner::absorb(std::span<const EdgeUpdate> batch) {
       if (!final_phase && survives_[cu] != 0) {
         sampler_staging_.push_back({v, coord, upd.delta});
       }
-      per_cluster_[v].update(cu, upd.delta, coord, upd.delta);
+      per_cluster_[v].update(cu, upd.delta, coord, upd.delta, /*jmax=*/0);
     }
   }
   to_sampled_.ingest_updates(sampler_staging_);
@@ -124,10 +133,9 @@ void MultipassSpanner::add_pair(std::uint64_t pair_coord) {
 void MultipassSpanner::rehome() {
   const bool final_phase = phase_ == config_.k;
   ++passes_done_;
-  nominal_bytes_ += to_sampled_.nominal_bytes();
-  for (Vertex v = 0; v < n_; ++v) {
-    nominal_bytes_ += per_cluster_[v].nominal_bytes();
-  }
+  nominal_bytes_ += to_sampled_.nominal_bytes() +
+                    n_ * KvTableBank::nominal_bytes(table_geometry_->config(0),
+                                                    /*levels=*/1);
 
   std::vector<Vertex> next_cluster = cluster_of_;
   for (Vertex v = 0; v < n_; ++v) {
@@ -147,19 +155,22 @@ void MultipassSpanner::rehome() {
     }
     // No sampled neighbor (or final phase): one edge per neighboring
     // cluster, then leave the clustering.
-    const auto decoded = per_cluster_[v].decode();
-    if (decoded.has_value()) {
-      for (const auto& entry : *decoded) {
-        const auto support = per_cluster_[v].decode_payload(entry);
-        if (support.has_value() && !support->empty()) {
-          add_pair(support->front().coord);
-        } else {
-          ++unrecovered_;
-        }
-      }
-    } else {
-      ++unrecovered_;
-    }
+    const KvTableBank& table = per_cluster_[v];
+    table.decode_levels(
+        [&](std::size_t, const std::optional<std::vector<KvEntry>>& decoded) {
+          if (!decoded.has_value()) {
+            ++unrecovered_;
+            return;
+          }
+          for (const KvEntry& entry : *decoded) {
+            const auto support = table.decode_payload(entry);
+            if (support.has_value() && !support->empty()) {
+              add_pair(support->front().coord);
+            } else {
+              ++unrecovered_;
+            }
+          }
+        });
     next_cluster[v] = kUnclustered;
   }
   cluster_of_ = std::move(next_cluster);

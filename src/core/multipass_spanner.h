@@ -84,7 +84,8 @@ class MultipassSpanner final : public StreamProcessor {
   struct EmptyCloneTag {};
 
   MultipassSpanner(const MultipassSpanner& other, EmptyCloneTag);
-  void make_phase_sketches();  // fresh zero sketches seeded by (config, phase)
+  // Fresh zero sketches seeded by (config, phase) over `table_geometry_`.
+  void make_phase_sketches();
   void begin_phase();  // survivors + fresh per-vertex sketches for phase_
   void rehome();       // post-pass decoding and cluster moves
   void add_pair(std::uint64_t pair_coord);
@@ -100,7 +101,9 @@ class MultipassSpanner final : public StreamProcessor {
   std::vector<char> survives_;  // this phase's surviving centers
   BankGroup to_sampled_;  // one group: per-vertex L0 into survivors
   std::vector<BankVertexUpdate> sampler_staging_;  // absorb() gather, reused
-  std::vector<LinearKeyValueSketch> per_cluster_;
+  // One-level kv banks, one per vertex, over this phase's shared geometry.
+  std::shared_ptr<const KvBankGeometry> table_geometry_;
+  std::vector<KvTableBank> per_cluster_;
   std::size_t nominal_bytes_ = 0;
   std::size_t unrecovered_ = 0;
   std::size_t passes_done_ = 0;

@@ -43,7 +43,6 @@ class Graph;
 class BankGroup;
 class SparseRecoverySketch;
 class DistinctElementsSketch;
-class LinearKeyValueSketch;
 class AgmGraphSketch;
 class TwoPassSpanner;
 class SpanningForestProcessor;
@@ -74,7 +73,6 @@ constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint32_t kTagBankGroup = fourcc('B', 'K', 'G', 'R');
 constexpr std::uint32_t kTagSparseRecovery = fourcc('S', 'P', 'R', 'S');
 constexpr std::uint32_t kTagDistinctElements = fourcc('D', 'S', 'T', 'E');
-constexpr std::uint32_t kTagLinearKv = fourcc('L', 'K', 'V', 'S');
 constexpr std::uint32_t kTagAgmSketch = fourcc('A', 'G', 'M', 'S');
 constexpr std::uint32_t kTagTwoPassSpanner = fourcc('T', 'P', 'S', 'P');
 constexpr std::uint32_t kTagSpanningForest = fourcc('S', 'P', 'F', 'P');
@@ -99,7 +97,6 @@ concept Serializable = requires { SerialTag<T>::value; };
 template <> struct SerialTag<BankGroup> { static constexpr std::uint32_t value = kTagBankGroup; };
 template <> struct SerialTag<SparseRecoverySketch> { static constexpr std::uint32_t value = kTagSparseRecovery; };
 template <> struct SerialTag<DistinctElementsSketch> { static constexpr std::uint32_t value = kTagDistinctElements; };
-template <> struct SerialTag<LinearKeyValueSketch> { static constexpr std::uint32_t value = kTagLinearKv; };
 template <> struct SerialTag<AgmGraphSketch> { static constexpr std::uint32_t value = kTagAgmSketch; };
 template <> struct SerialTag<TwoPassSpanner> { static constexpr std::uint32_t value = kTagTwoPassSpanner; };
 template <> struct SerialTag<SpanningForestProcessor> { static constexpr std::uint32_t value = kTagSpanningForest; };

@@ -1,12 +1,13 @@
 // serialize()/deserialize() members of the sketch layer: BankGroup (and
 // its one-group framing), SparseRecoverySketch, DistinctElementsSketch,
-// LinearKeyValueSketch, AgmGraphSketch.
+// KvTableBank state, AgmGraphSketch.
 //
 // Each payload starts with the object's configuration/geometry, which
 // deserialize() VALIDATES against the live (identically constructed)
 // destination rather than loads -- hash coefficients and fingerprint power
 // tables are rebuilt from seeds by the constructors and never serialized.
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "agm/neighborhood_sketch.h"
@@ -197,74 +198,67 @@ void KvTableBank::deserialize_state(ser::Reader& r) {
   if (!entries_.empty()) grow_table();
 }
 
-// ---- LinearKeyValueSketch -----------------------------------------------
-
-void LinearKeyValueSketch::serialize_state(ser::Writer& w) const {
-  w.begin_section("linear_kv.state");
-  // The map is iteration-order-unstable; sort by slot id so save -> load ->
-  // save is byte-identical.
-  std::vector<std::uint64_t> slots;
-  slots.reserve(cells_.size());
-  for (const auto& [slot_id, cell] : cells_) slots.push_back(slot_id);
-  std::sort(slots.begin(), slots.end());
-  w.u64(slots.size());
-  w.u64(payload_geometry_.cell_count());
-  for (const std::uint64_t slot_id : slots) {
-    const Cell& cell = cells_.at(slot_id);
+void KvTableBank::serialize_flat_state(ser::Writer& w) const {
+  if (levels_ != 1) {
+    throw ser::SerializeError("KvTableBank: flat state needs one level");
+  }
+  // The bank keeps blocks that cancelled to zero; the flat layout lists
+  // nonzero slots only, in slot order, as an erase-at-zero map would.
+  std::vector<std::pair<std::uint64_t, const OneSparseCell*>> live;
+  for (const Entry& e : entries_) {
+    const OneSparseCell* cells = cells_of(e);
+    if (std::any_of(cells, cells + cell_stride_,
+                    [](const OneSparseCell& c) { return !c.is_zero(); })) {
+      live.emplace_back(e.slot_id, cells);
+    }
+  }
+  std::sort(live.begin(), live.end());
+  w.begin_section("kv_bank.flat_state");
+  w.u64(live.size());
+  w.u64(cell_stride_ - 1);  // payload cells per slot
+  for (const auto& [slot_id, cells] : live) {
     w.u64(slot_id);
-    ser::put_cell(w, cell.key_part);
-    for (const OneSparseCell& c : cell.payload) ser::put_cell(w, c);
+    for (std::size_t c = 0; c < cell_stride_; ++c) ser::put_cell(w, cells[c]);
   }
   w.end_section();
 }
 
-void LinearKeyValueSketch::deserialize_state(ser::Reader& r) {
+void KvTableBank::deserialize_flat_state(ser::Reader& r) {
+  if (levels_ != 1) {
+    throw ser::SerializeError("KvTableBank: flat state needs one level");
+  }
   const std::uint64_t count = r.u64();
-  ser::check_field(r.u64(), payload_geometry_.cell_count(),
-                   "LinearKv payload cell count");
-  const std::uint64_t slot_limit = config_.tables * cells_per_table_;
-  cells_.clear();
+  ser::check_field(r.u64(), cell_stride_ - 1, "KvTableBank payload cells");
+  const std::uint64_t slot_limit = config().tables * cells_per_table_;
+  // As deserialize_state: bound the count before reserving for it.  Every
+  // flat entry is a slot id and cell_stride_ 32-byte cells.
+  constexpr std::uint64_t kCellBytes = 4 * 8;
+  if (count > slot_limit ||
+      count > r.remaining() / (8 + cell_stride_ * kCellBytes)) {
+    throw ser::SerializeError("KvTableBank entry count exceeds the payload");
+  }
+  entries_.clear();
+  ht_slot_.clear();
+  ht_index_.clear();
+  arena_.reset();
+  entries_.reserve(count);
   std::uint64_t prev_slot = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t slot_id = r.u64();
-    if (slot_id >= slot_limit || (i > 0 && slot_id <= prev_slot)) {
+    Entry e;
+    e.slot_id = r.u64();
+    if (e.slot_id >= slot_limit || (i > 0 && e.slot_id <= prev_slot)) {
       throw ser::SerializeError(
-          "LinearKv slot id out of order or out of range");
+          "KvTableBank slot id out of order or out of range");
     }
-    prev_slot = slot_id;
-    Cell cell = make_cell();
-    cell.key_part = ser::get_cell(r);
-    for (OneSparseCell& c : cell.payload) c = ser::get_cell(r);
-    cells_.emplace(slot_id, std::move(cell));
+    prev_slot = e.slot_id;
+    e.rows = 1;
+    e.cap = 1;
+    e.block = arena_.allocate(cell_stride_);
+    OneSparseCell* dst = arena_.data(e.block);
+    for (std::size_t c = 0; c < cell_stride_; ++c) dst[c] = ser::get_cell(r);
+    entries_.push_back(e);
   }
-}
-
-void LinearKeyValueSketch::serialize(ser::Writer& w) const {
-  w.begin_section("linear_kv.header");
-  w.u64(config_.max_key);
-  w.u64(config_.max_payload_coord);
-  w.u64(config_.capacity);
-  w.u64(config_.tables);
-  w.f64(config_.load_factor);
-  w.u64(config_.payload_budget);
-  w.u64(config_.payload_rows);
-  w.u64(config_.seed);
-  w.end_section();
-  serialize_state(w);
-}
-
-void LinearKeyValueSketch::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), config_.max_key, "LinearKv max_key");
-  ser::check_field(r.u64(), config_.max_payload_coord,
-                   "LinearKv max_payload_coord");
-  ser::check_field(r.u64(), config_.capacity, "LinearKv capacity");
-  ser::check_field(r.u64(), config_.tables, "LinearKv tables");
-  ser::check_f64_field(r.f64(), config_.load_factor, "LinearKv load_factor");
-  ser::check_field(r.u64(), config_.payload_budget,
-                   "LinearKv payload_budget");
-  ser::check_field(r.u64(), config_.payload_rows, "LinearKv payload_rows");
-  ser::check_field(r.u64(), config_.seed, "LinearKv seed");
-  deserialize_state(r);
+  if (!entries_.empty()) grow_table();
 }
 
 // ---- AgmGraphSketch -----------------------------------------------------

@@ -391,9 +391,7 @@ void MultipassSpanner::serialize(ser::Writer& w) const {
   w.u64(passes_done_);
   w.end_section();
   ser::put_single_bank(w, to_sampled_);
-  for (const LinearKeyValueSketch& table : per_cluster_) {
-    table.serialize_state(w);
-  }
+  for (const KvTableBank& table : per_cluster_) table.serialize_flat_state(w);
 }
 
 void MultipassSpanner::deserialize(ser::Reader& r) {
@@ -429,9 +427,7 @@ void MultipassSpanner::deserialize(ser::Reader& r) {
   unrecovered_ = static_cast<std::size_t>(r.u64());
   passes_done_ = static_cast<std::size_t>(r.u64());
   ser::get_single_bank(r, to_sampled_);
-  for (LinearKeyValueSketch& table : per_cluster_) {
-    table.deserialize_state(r);
-  }
+  for (KvTableBank& table : per_cluster_) table.deserialize_flat_state(r);
 }
 
 }  // namespace kw

@@ -30,17 +30,18 @@ namespace kw {
 // < 2^42) with a square-and-multiply fallback for larger exponents, and live
 // behind a shared_ptr so COPIES of a basis share one table: per-vertex
 // sketch arrays built by copying a prototype (the emplacement pattern in
-// additive_spanner/multipass_spanner) cost 16 bytes per copy, not ~700.
+// additive_spanner) cost 16 bytes per copy, not ~700.
 //
 // The radix-16/radix-256 walk tables behind pow_pair()/pow_pair_bytes() are
 // a batched-ingest accelerator: ~27 KiB and ~2000 field multiplies per
 // basis.  Sketches instantiated by the tens of thousands with DISTINCT
 // seeds opt out via full_tables = false: pow_pair*() then falls back to
 // the square tables with bit-identical results, construction drops to the
-// 88 squarings, and the basis costs ~0.7 KiB instead of ~28 KiB.  (The
-// historical poster child -- the KP12 fleet's per-terminal kv tables --
-// moved to a row-shared KvBankGeometry whose single basis DOES carry full
-// tables; today the compact form serves standalone/multipass sketches.)
+// 88 squarings, and the basis costs ~0.7 KiB instead of ~28 KiB.  Every kv
+// table -- two-pass, KP12 and multipass alike -- reads the full-table basis
+// of a shared KvBankGeometry; today the compact form serves the
+// SparseRecoverySketch default: the additive spanner's per-vertex
+// neighborhood sketches and standalone sparse-recovery sketches.
 class FingerprintBasis {
  public:
   static constexpr std::size_t kPowBits = 44;

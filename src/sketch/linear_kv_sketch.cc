@@ -5,15 +5,13 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/random.h"
 
 namespace kw {
 
 namespace {
-
-// Bucket-array seed for a table's first live insert (see update()).
-constexpr std::size_t kFirstTouchReserve = 32;
 
 [[nodiscard]] SparseRecoveryConfig payload_config(const LinearKvConfig& c) {
   SparseRecoveryConfig pc;
@@ -34,8 +32,8 @@ struct PeelShape {
   const FingerprintBasis* key_basis;
 };
 
-// The queue peeler (IBLT decode) shared by both kv sketches.  `cells` is a
-// flat working copy of one table, shape.stride cells per stored slot;
+// The queue peeler (IBLT decode) behind decode_levels.  `cells` is a flat
+// working copy of one table, shape.stride cells per stored slot;
 // block_of(slot_id) is a slot's block index, or kNoBlock if the table never
 // stored it.  Every block is queued once.  A block whose key detector
 // verifies one-sparse yields (key, count, payload); that entry is
@@ -501,10 +499,8 @@ std::optional<std::vector<Recovered>> KvTableBank::decode_payload(
 
 std::size_t KvTableBank::nominal_bytes(const LinearKvConfig& config,
                                        std::size_t levels) noexcept {
-  // Mirrors the historical per-level LinearKeyValueSketch accounting so the
-  // space-claim numbers stay comparable across baselines: per level, tables
-  // * cells_per_table dense cells (key detector + embedded payload sketch)
-  // plus the config header.
+  // The same closed form for every consumer (two-pass, KP12, multipass),
+  // so the space-claim numbers stay comparable across baselines.
   const std::size_t cells_per_table = std::max<std::size_t>(
       4, static_cast<std::size_t>(std::ceil(
              static_cast<double>(config.capacity) / config.load_factor)));
@@ -540,150 +536,6 @@ std::size_t KvTableBank::touched_bytes() const noexcept {
   }
   return live_levels * cell_stride_ * sizeof(OneSparseCell) +
          sizeof(LinearKvConfig);
-}
-
-// ---- LinearKeyValueSketch -----------------------------------------------
-
-bool LinearKeyValueSketch::Cell::is_zero() const noexcept {
-  if (!key_part.is_zero()) return false;
-  return std::all_of(payload.begin(), payload.end(),
-                     [](const OneSparseCell& c) { return c.is_zero(); });
-}
-
-LinearKeyValueSketch::LinearKeyValueSketch(const LinearKvConfig& config)
-    : config_(config),
-      cells_per_table_(std::max<std::size_t>(
-          4, static_cast<std::size_t>(std::ceil(
-                 static_cast<double>(config.capacity) / config.load_factor)))),
-      // Compact basis: standalone kv sketches are instantiated with
-      // distinct seeds (one per multipass phase table), so their pow
-      // fallbacks stay on the square tables; fleet consumers share a
-      // full-table KvBankGeometry instead.
-      key_basis_(derive_seed(config.seed, 0x51), /*full_tables=*/false),
-      payload_geometry_(payload_config(config)),
-      table_hashes_(config.tables, /*independence=*/4,
-                    derive_seed(config.seed, 0x53)) {
-  if (config.tables == 0) throw std::invalid_argument("tables must be > 0");
-  if (config.load_factor <= 0.0 || config.load_factor > 1.0) {
-    throw std::invalid_argument("load_factor must be in (0,1]");
-  }
-}
-
-LinearKeyValueSketch::Cell LinearKeyValueSketch::make_cell() const {
-  Cell cell;
-  cell.payload.resize(payload_geometry_.cell_count());
-  return cell;
-}
-
-std::uint64_t LinearKeyValueSketch::slot(std::size_t table,
-                                         std::uint64_t key) const {
-  return table * cells_per_table_ +
-         table_hashes_[table].bucket(key, cells_per_table_);
-}
-
-void LinearKeyValueSketch::update(std::uint64_t key, std::int64_t key_delta,
-                                  std::uint64_t payload_coord,
-                                  std::int64_t payload_delta) {
-  if (key >= config_.max_key) {
-    throw std::out_of_range("kv sketch key out of range");
-  }
-  if (key_delta == 0 && payload_delta == 0) return;
-  if (cells_.empty()) {
-    // First live insert: seed the bucket array with a modest reserve.  A
-    // decodable sketch touches up to ~tables * capacity cells, but
-    // fleet-scale consumers (the KP12 sparsifier holds tens of thousands of
-    // these) mostly leave each table nearly empty -- reserving the full
-    // capacity up front cost hundreds of megabytes of bucket arrays there.
-    // Growth past the seed rehashes amortized, relinking nodes in place.
-    cells_.reserve(std::min<std::size_t>(config_.tables * config_.capacity,
-                                         kFirstTouchReserve));
-  }
-  for (std::size_t t = 0; t < config_.tables; ++t) {
-    const std::uint64_t s = slot(t, key);
-    auto it = cells_.find(s);
-    if (it == cells_.end()) it = cells_.emplace(s, make_cell()).first;
-    Cell& cell = it->second;
-    if (key_delta != 0) cell.key_part.add(key, key_delta, key_basis_);
-    if (payload_delta != 0) {
-      payload_geometry_.update_state(cell.payload, payload_coord,
-                                     payload_delta);
-    }
-    if (cell.is_zero()) cells_.erase(it);
-  }
-}
-
-void LinearKeyValueSketch::merge(const LinearKeyValueSketch& other,
-                                 std::int64_t sign) {
-  if (other.config_.seed != config_.seed ||
-      other.config_.max_key != config_.max_key ||
-      other.cells_per_table_ != cells_per_table_ ||
-      other.config_.tables != config_.tables) {
-    throw std::invalid_argument("merging incompatible kv sketches");
-  }
-  for (const auto& [slot_id, cell] : other.cells_) {
-    auto it = cells_.find(slot_id);
-    if (it == cells_.end()) it = cells_.emplace(slot_id, make_cell()).first;
-    Cell& mine = it->second;
-    mine.key_part.merge(cell.key_part, sign);
-    for (std::size_t i = 0; i < mine.payload.size(); ++i) {
-      mine.payload[i].merge(cell.payload[i], sign);
-    }
-    if (mine.is_zero()) cells_.erase(it);
-  }
-}
-
-bool LinearKeyValueSketch::is_zero() const noexcept {
-  return std::all_of(cells_.begin(), cells_.end(),
-                     [](const auto& kv) { return kv.second.is_zero(); });
-}
-
-std::optional<std::vector<KvEntry>> LinearKeyValueSketch::decode() const {
-  // Flatten the map in slot order (block i <-> sorted[i], found by binary
-  // search) and run the shared peeler on the copy.
-  const std::size_t stride = 1 + payload_geometry_.cell_count();
-  std::vector<std::pair<std::uint64_t, const Cell*>> sorted;
-  sorted.reserve(cells_.size());
-  for (const auto& [slot_id, cell] : cells_) {
-    sorted.emplace_back(slot_id, &cell);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<OneSparseCell> cells;
-  cells.reserve(sorted.size() * stride);
-  for (const auto& entry : sorted) {
-    const Cell& cell = *entry.second;
-    cells.push_back(cell.key_part);
-    cells.insert(cells.end(), cell.payload.begin(), cell.payload.end());
-  }
-  const PeelShape shape{stride, config_.tables, config_.max_key, &key_basis_};
-  return peel_table(
-      cells, shape,
-      [this](std::size_t t, std::uint64_t key) { return slot(t, key); },
-      [&sorted](std::uint64_t slot_id) {
-        const auto it = std::lower_bound(
-            sorted.begin(), sorted.end(), slot_id,
-            [](const auto& entry, std::uint64_t s) { return entry.first < s; });
-        return it != sorted.end() && it->first == slot_id
-                   ? static_cast<std::size_t>(it - sorted.begin())
-                   : kNoBlock;
-      });
-}
-
-std::optional<std::vector<Recovered>> LinearKeyValueSketch::decode_payload(
-    const KvEntry& entry) const {
-  return payload_geometry_.decode_state(entry.payload);
-}
-
-std::size_t LinearKeyValueSketch::nominal_bytes() const noexcept {
-  const std::size_t cell_bytes =
-      sizeof(OneSparseCell) * (1 + payload_geometry_.cell_count());
-  return config_.tables * cells_per_table_ * cell_bytes +
-         sizeof(LinearKvConfig);
-}
-
-std::size_t LinearKeyValueSketch::touched_bytes() const noexcept {
-  const std::size_t cell_bytes =
-      sizeof(OneSparseCell) * (1 + payload_geometry_.cell_count());
-  return cells_.size() * cell_bytes + sizeof(LinearKvConfig);
 }
 
 }  // namespace kw

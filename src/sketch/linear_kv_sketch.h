@@ -1,32 +1,34 @@
-/// The linear hash table of Section 3.2 (the H^u_j structures): a one-pass,
-/// mergeable sketch of a key -> payload-sketch map using O(capacity * B log n)
-/// words, decodable when at most ~capacity distinct keys are live (Claim 11).
+/// The linear hash tables of Section 3.2 (the H^u_j structures): mergeable
+/// sketches of a key -> payload-sketch map using O(capacity * B log n) words
+/// per level, decodable when at most ~capacity distinct keys are live
+/// (Claim 11).
 ///
-/// A linear sketch of a key -> payload-sketch map: each update carries a key,
-/// a signed key-count delta, and a payload contribution ("add SKETCH(delta*a)
-/// to the b-th entry of H^u_j" in Algorithm 2).  Implementation: `tables`
-/// independent hash tables of cells; a cell holds a one-sparse detector over
-/// *keys* plus an embedded SKETCH_B state over payload coordinates.
-/// Decoding peels cells whose key detector verifies as one-sparse: that
-/// certifies every update in the cell shares one key, so the cell's embedded
-/// payload sketch is that key's complete payload; the recovered pair is then
-/// subtracted from the other tables.  Both sketches below share one queue
-/// peeler (the invertible-Bloom-lookup-table decoder): the table is copied
+/// Each update carries a key, a signed key-count delta, and a payload
+/// contribution ("add SKETCH(delta*a) to the b-th entry of H^u_j" in
+/// Algorithm 2).  `tables` independent hash tables of cells; a cell holds a
+/// one-sparse detector over *keys* plus an embedded SKETCH_B state over
+/// payload coordinates.  Decoding peels cells whose key detector verifies
+/// as one-sparse: that certifies every update in the cell shares one key,
+/// so the cell's embedded payload sketch is that key's complete payload;
+/// the recovered pair is then subtracted from the other tables.  The peel
+/// is the invertible-Bloom-lookup-table queue decoder: the table is copied
 /// once into a flat cell array, every cell is queued, and a peel re-queues
 /// only the slots it subtracted from -- linear in the number of cells.
 ///
-/// Everything is component-wise additive (field arithmetic for fingerprints),
-/// so sketches with equal (capacity, geometry, seed) merge exactly --
-/// linearity.  Storage is hash-map-backed: memory is proportional to touched
-/// cells while nominal_bytes() reports the dense size a streaming device
-/// would allocate.
+/// KvTableBank is the one kv sketch type: a row of such maps over a shared
+/// KvBankGeometry.  The two-pass spanner and KP12 run multi-level banks;
+/// the multipass baseline runs one-level banks (its per-vertex tables).
+/// Everything is component-wise additive (field arithmetic for
+/// fingerprints), so banks with equal geometry merge exactly -- linearity.
+/// Storage is proportional to touched cells while nominal_bytes() reports
+/// the dense size a streaming device would allocate.
 #ifndef KW_SKETCH_LINEAR_KV_SKETCH_H
 #define KW_SKETCH_LINEAR_KV_SKETCH_H
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "serialize/serialize_fwd.h"
@@ -55,7 +57,8 @@ struct KvEntry {
 };
 
 // Immutable hashing context + staged scatter operands shared by a FLEET of
-// KvTableBanks (the two-pass spanner's per-terminal H^u_* banks): ONE key
+// KvTableBanks (the two-pass spanner's per-terminal H^u_* banks, the
+// multipass baseline's per-vertex tables of one phase): ONE key
 // fingerprint basis with full radix-256 power tables, ONE payload sketch
 // geometry, ONE table hash family -- where the historical per-terminal
 // construction rebuilt all three (and kept the bases compact because tens
@@ -160,10 +163,11 @@ class KvBankGeometry {
 
 // A ROW of `levels` independent key -> payload-sketch maps sharing ONE
 // geometry (key basis, payload geometry, table hashes -- one seed for the
-// whole row).  This is the fleet form of LinearKeyValueSketch used by the
-// two-pass spanner's pass 2: the H^u_j tables of one terminal u are only
-// ever updated together for a contiguous level prefix j = 0..jmax ("add
-// SKETCH(delta*a) to the b-th entry of H^u_j for every surviving Y_j"), so
+// whole row).  With levels == 1 it is a single kv table (the multipass
+// baseline's per-vertex tables).  The two-pass spanner's pass 2 runs the
+// row form: the H^u_j tables of one terminal u are only ever updated
+// together for a contiguous level prefix j = 0..jmax ("add SKETCH(delta*a)
+// to the b-th entry of H^u_j for every surviving Y_j"), so
 // sharing the geometry across j turns per-(level, table) hashing + term
 // walks + map probes into ONE staged computation per update side:
 //
@@ -185,7 +189,8 @@ class KvBankGeometry {
 // slot) -- memory stays proportional to touched state, like the historical
 // map.  Cancelled-to-zero cells are kept (the historical per-level maps
 // erased them); decode and is_zero treat them as the zeros they are, so
-// decoded results and diagnostics are unaffected.
+// decoded results and diagnostics are unaffected, and the flat serializer
+// skips them so its bytes match an erase-at-zero map.
 //
 // LEVEL-DIFF REPRESENTATION: an update to levels 0..jmax physically writes
 // its terms ONLY at block row jmax; the value of level j is materialized as
@@ -229,9 +234,10 @@ class KvTableBank {
 
   // Decodes every level deepest-first (levels() - 1 down to 0), handing
   // each to `visit(level, decoded)`.  `decoded` is the level's key ->
-  // (count, payload) map sorted by key, or nullopt when the level is
-  // overloaded -- the contract of LinearKeyValueSketch::decode().  Returns
-  // touched_bytes(), counted during the same walk.
+  // (count, payload) map sorted by key -- keys whose state cancelled to
+  // zero do not appear -- or nullopt when the level is overloaded or a
+  // verification failed.  Returns touched_bytes(), counted during the same
+  // walk.
   using LevelVisitor = std::function<void(
       std::size_t, const std::optional<std::vector<KvEntry>>&)>;
   std::size_t decode_levels(const LevelVisitor& visit) const;
@@ -247,8 +253,10 @@ class KvTableBank {
     return *geo_;
   }
 
-  // Dense footprint of the declared level fleet; a static closed form so a
-  // never-touched terminal's space claim costs no construction.
+  // Dense footprint of the declared level fleet: per level, tables *
+  // cells_per_table dense cells (key detector + embedded payload sketch)
+  // plus the config header.  A static closed form so a never-touched
+  // terminal's space claim costs no construction.
   [[nodiscard]] static std::size_t nominal_bytes(const LinearKvConfig& config,
                                                  std::size_t levels) noexcept;
   [[nodiscard]] std::size_t touched_bytes() const noexcept;
@@ -257,6 +265,12 @@ class KvTableBank {
   // State only; the owner re-derives the config from its own seed chain.
   void serialize_state(ser::Writer& w) const;
   void deserialize_state(ser::Reader& r);
+  // The one-level table layout of the multipass checkpoint (levels() == 1
+  // required): u64 nonzero-slot count, u64 payload cell count, then per
+  // slot in ascending order the slot id, the key cell and the payload
+  // cells.  All-zero slots are not written.
+  void serialize_flat_state(ser::Writer& w) const;
+  void deserialize_flat_state(ser::Reader& r);
 
  private:
   using CellArena = SlabArena<OneSparseCell>;
@@ -309,69 +323,6 @@ class KvTableBank {
   std::vector<std::uint32_t> ht_index_;
   std::vector<Entry> entries_;
   CellArena arena_;  // every entry's cell block, one contiguous store
-};
-
-class LinearKeyValueSketch {
- public:
-  explicit LinearKeyValueSketch(const LinearKvConfig& config);
-
-  // Applies one update: key count += key_delta, payload sketch gets
-  // (payload_coord, payload_delta).  Either part may be a no-op (delta 0).
-  void update(std::uint64_t key, std::int64_t key_delta,
-              std::uint64_t payload_coord, std::int64_t payload_delta);
-
-  // this += sign * other (same configuration required).
-  void merge(const LinearKeyValueSketch& other, std::int64_t sign = 1);
-
-  // Recovers the full key -> (count, payload) map, or nullopt when the
-  // table is overloaded / a verification failed.  Keys whose entire state
-  // cancelled to zero do not appear.  Sorted by key.
-  [[nodiscard]] std::optional<std::vector<KvEntry>> decode() const;
-
-  // Decodes a recovered entry's embedded payload sketch (exact support of
-  // the payload vector, or nullopt if it exceeded the payload budget).
-  [[nodiscard]] std::optional<std::vector<Recovered>> decode_payload(
-      const KvEntry& entry) const;
-
-  [[nodiscard]] bool is_zero() const noexcept;
-
-  [[nodiscard]] std::size_t nominal_bytes() const noexcept;
-
-  // Actual memory held by the map-backed storage (proportional to touched
-  // cells; a real streaming device would allocate nominal_bytes()).
-  [[nodiscard]] std::size_t touched_bytes() const noexcept;
-
-  [[nodiscard]] const LinearKvConfig& config() const noexcept {
-    return config_;
-  }
-
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
-  // Full form: config validation header + state.  The state-only pair
-  // exists for fleet owners (TwoPassSpanner / MultipassSpanner tables)
-  // whose table configs are re-derived from their own seed chain.
-  void serialize(ser::Writer& w) const;
-  void deserialize(ser::Reader& r);
-  void serialize_state(ser::Writer& w) const;
-  void deserialize_state(ser::Reader& r);
-
- private:
-  struct Cell {
-    OneSparseCell key_part;
-    std::vector<OneSparseCell> payload;
-
-    [[nodiscard]] bool is_zero() const noexcept;
-  };
-
-  [[nodiscard]] std::uint64_t slot(std::size_t table, std::uint64_t key) const;
-  [[nodiscard]] Cell make_cell() const;
-
-  LinearKvConfig config_;
-  std::size_t cells_per_table_;
-  FingerprintBasis key_basis_;
-  SparseRecoverySketch payload_geometry_;  // zero sketch: hashes/basis only
-  HashFamily table_hashes_;
-  // Sparse storage: slot id (table * cells_per_table + cell) -> cell.
-  std::unordered_map<std::uint64_t, Cell> cells_;
 };
 
 }  // namespace kw

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "core/additive_spanner.h"
 #include "core/two_pass_spanner.h"
@@ -86,14 +88,19 @@ TEST(FailureModes, KvOverloadReportsFailureNotGarbage) {
     config.max_payload_coord = 1 << 16;
     config.capacity = 8;
     config.seed = 3000 + seed;
-    LinearKeyValueSketch sketch(config);
+    KvTableBank sketch(config, /*levels=*/1);
     Rng rng(seed);
     std::set<std::uint64_t> keys;
     // 2x..20x overload.
     const std::size_t count = 16 + rng.next_below(145);
     while (keys.size() < count) keys.insert(rng.next_below(1 << 16));
-    for (const auto k : keys) sketch.update(k, 1, k % 512, 1);
-    const auto decoded = sketch.decode();
+    for (const auto k : keys) sketch.update(k, 1, k % 512, 1, /*jmax=*/0);
+    std::optional<std::vector<KvEntry>> decoded;
+    sketch.decode_levels(
+        [&decoded](std::size_t,
+                   const std::optional<std::vector<KvEntry>>& level) {
+          decoded = level;
+        });
     if (!decoded.has_value()) continue;  // detected: fine
     // If it *did* decode (possible near 2x), it must be exactly right.
     ASSERT_EQ(decoded->size(), keys.size());

@@ -235,39 +235,32 @@ TEST(KvTableBank, PayloadOverloadedKeyAtCapacity) {
   // coordinates than the embedded payload sketch's budget: the kv peel
   // still recovers every key, and the overloaded key's payload decode
   // reports failure instead of a wrong neighbor set.
-  const LinearKvConfig config = bank_config(11);
-  KvTableBank bank(config, 1);
-  LinearKeyValueSketch sketch(config);
+  KvTableBank bank(bank_config(11), 1);
   for (std::uint64_t k = 0; k < kCapacity; ++k) {
     const std::size_t neighbors = k == 3 ? 40 : 1;
     for (std::uint64_t i = 0; i < neighbors; ++i) {
       bank.update(k * 101, 1, 7 + i * 13, 1, 0);
-      sketch.update(k * 101, 1, 7 + i * 13, 1);
     }
   }
   std::size_t touched = 0;
   const LevelDecodes levels = decode_all(bank, &touched);
-  const auto from_sketch = sketch.decode();
   ASSERT_TRUE(levels[0].has_value());
-  ASSERT_TRUE(from_sketch.has_value());
   ASSERT_EQ(levels[0]->size(), kCapacity);
-  ASSERT_EQ(from_sketch->size(), kCapacity);
   for (std::size_t i = 0; i < kCapacity; ++i) {
-    const KvEntry& a = (*levels[0])[i];
-    const KvEntry& b = (*from_sketch)[i];
-    EXPECT_EQ(a.key, b.key);
-    EXPECT_EQ(a.key_count, b.key_count);
-    const auto pa = bank.decode_payload(a);
-    const auto pb = sketch.decode_payload(b);
-    EXPECT_EQ(pa.has_value(), pb.has_value());
-    if (a.key == 3 * 101) {
-      EXPECT_EQ(a.key_count, 40);
-      EXPECT_FALSE(pa.has_value());
-      EXPECT_FALSE(pb.has_value());
+    const KvEntry& e = (*levels[0])[i];
+    EXPECT_EQ(e.key, i * 101);
+    const auto payload = bank.decode_payload(e);
+    if (e.key == 3 * 101) {
+      EXPECT_EQ(e.key_count, 40);
+      EXPECT_FALSE(payload.has_value());
+    } else {
+      EXPECT_EQ(e.key_count, 1);
+      ASSERT_TRUE(payload.has_value());
+      ASSERT_EQ(payload->size(), 1u);
+      EXPECT_EQ((*payload)[0].coord, 7u);
     }
   }
 }
-
 
 TEST(KvTableBank, CraftedStateFailsInsteadOfCyclingThePeel) {
   // As LinearKv.CraftedStateFailsInsteadOfCyclingThePeel: one surviving

@@ -128,15 +128,15 @@ TEST_P(LinearitySeeds, KvSketchIsLinear) {
   config.capacity = 32;
   config.seed = seed;
   Rng rng(seed * 11 + 3);
-  LinearKeyValueSketch combined(config);
-  LinearKeyValueSketch a(config);
-  LinearKeyValueSketch b(config);
+  KvTableBank combined(config, /*levels=*/1);
+  KvTableBank a(config, 1);
+  KvTableBank b(config, 1);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t key = rng.next_below(1 << 12);
     const std::uint64_t payload = rng.next_below(1 << 12);
     const std::int64_t delta = rng.next_bernoulli(0.5) ? 1 : -1;
-    combined.update(key, delta, payload, delta);
-    (i % 2 == 0 ? a : b).update(key, delta, payload, delta);
+    combined.update(key, delta, payload, delta, /*jmax=*/0);
+    (i % 2 == 0 ? a : b).update(key, delta, payload, delta, 0);
   }
   combined.merge(a, -1);
   combined.merge(b, -1);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sketch/bank_group.h"
@@ -171,7 +172,7 @@ TEST(MergeSemantics, L0SamplerCommutativeAndAssociative) {
   expect_same_decode(ab_c, a_bc);
 }
 
-// ---- LinearKeyValueSketch -------------------------------------------------
+// ---- KvTableBank (one-level kv tables) ------------------------------------
 
 struct KvUpdate {
   std::uint64_t key;
@@ -206,10 +207,28 @@ struct KvUpdate {
   return updates;
 }
 
-void expect_same_decode(const LinearKeyValueSketch& a,
-                        const LinearKeyValueSketch& b) {
-  const auto da = a.decode();
-  const auto db = b.decode();
+[[nodiscard]] KvTableBank kv_table(std::uint64_t seed) {
+  return KvTableBank(kv_config(seed), /*levels=*/1);
+}
+
+void update(KvTableBank& table, const KvUpdate& u) {
+  table.update(u.key, u.key_delta, u.payload_coord, u.payload_delta,
+               /*jmax=*/0);
+}
+
+[[nodiscard]] std::optional<std::vector<KvEntry>> decode(
+    const KvTableBank& table) {
+  std::optional<std::vector<KvEntry>> out;
+  table.decode_levels(
+      [&out](std::size_t, const std::optional<std::vector<KvEntry>>& level) {
+        out = level;
+      });
+  return out;
+}
+
+void expect_same_decode(const KvTableBank& a, const KvTableBank& b) {
+  const auto da = decode(a);
+  const auto db = decode(b);
   ASSERT_EQ(da.has_value(), db.has_value());
   ASSERT_TRUE(da.has_value());
   ASSERT_EQ(da->size(), db->size());
@@ -230,40 +249,33 @@ void expect_same_decode(const LinearKeyValueSketch& a,
 
 TEST(MergeSemantics, LinearKvShardMergeEqualsSequential) {
   const auto updates = make_kv_updates(31);
-  LinearKeyValueSketch sequential(kv_config(15));
-  for (const auto& u : updates) {
-    sequential.update(u.key, u.key_delta, u.payload_coord, u.payload_delta);
-  }
-  std::vector<LinearKeyValueSketch> parts(kParts,
-                                          LinearKeyValueSketch(kv_config(15)));
+  KvTableBank sequential = kv_table(15);
+  for (const auto& u : updates) update(sequential, u);
+  std::vector<KvTableBank> parts(kParts, kv_table(15));
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const auto& u = updates[i];
-    parts[i % kParts].update(u.key, u.key_delta, u.payload_coord,
-                             u.payload_delta);
+    update(parts[i % kParts], updates[i]);
   }
-  LinearKeyValueSketch merged = parts[0];
+  KvTableBank merged = parts[0];
   for (std::size_t p = 1; p < kParts; ++p) merged.merge(parts[p], 1);
   expect_same_decode(merged, sequential);
 }
 
 TEST(MergeSemantics, LinearKvCommutativeAndAssociative) {
   const auto updates = make_kv_updates(37);
-  std::vector<LinearKeyValueSketch> parts(3,
-                                          LinearKeyValueSketch(kv_config(17)));
+  std::vector<KvTableBank> parts(3, kv_table(17));
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const auto& u = updates[i];
-    parts[i % 3].update(u.key, u.key_delta, u.payload_coord, u.payload_delta);
+    update(parts[i % 3], updates[i]);
   }
 
-  LinearKeyValueSketch ab = parts[0];
+  KvTableBank ab = parts[0];
   ab.merge(parts[1], 1);
-  LinearKeyValueSketch ba = parts[1];
+  KvTableBank ba = parts[1];
   ba.merge(parts[0], 1);
-  LinearKeyValueSketch ab_c = ab;
+  KvTableBank ab_c = ab;
   ab_c.merge(parts[2], 1);
-  LinearKeyValueSketch bc = parts[1];
+  KvTableBank bc = parts[1];
   bc.merge(parts[2], 1);
-  LinearKeyValueSketch a_bc = parts[0];
+  KvTableBank a_bc = parts[0];
   a_bc.merge(bc, 1);
 
   expect_same_decode(ab, ba);

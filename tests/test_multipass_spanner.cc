@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string_view>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "engine/stream_engine.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 
@@ -90,6 +96,89 @@ TEST(Multipass, EmptyStream) {
   const MultipassResult result =
       multipass_baswana_sen(stream, make_config(2, 53));
   EXPECT_EQ(result.spanner.m(), 0u);
+}
+
+TEST(Multipass, EndpointOutOfRangeThrows) {
+  // The whole batch is validated before the first sketch write: a bad
+  // endpoint anywhere in it throws and leaves the state untouched.
+  MultipassSpanner spanner(32, make_config(2, 59));
+  const std::vector<EdgeUpdate> bad = {{5, 40, +1}};
+  EXPECT_THROW(spanner.absorb(bad), std::out_of_range);
+  const std::vector<EdgeUpdate> late = {{1, 2, +1}, {3, 4, +1}, {32, 0, +1}};
+  EXPECT_THROW(spanner.absorb(late), std::out_of_range);
+  spanner.advance_pass();
+  spanner.finish();
+  EXPECT_EQ(spanner.take_result().spanner.m(), 0u);
+}
+
+// ---- golden outputs ---------------------------------------------------------
+//
+// Digests of finished results: FNV-1a over the sorted spanner edge list,
+// plus the diagnostics.  They pin what the per-vertex tables decode, so a
+// change to the table storage that alters any decoded edge, decode miss or
+// space figure fails here.
+
+[[nodiscard]] std::uint64_t edge_digest(const Graph& g) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (const auto& e : g.edges()) {
+    edges.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
+  }
+  std::sort(edges.begin(), edges.end());
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& [u, v] : edges) {
+    for (const std::uint64_t x : {std::uint64_t{u}, std::uint64_t{v}}) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (x >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+struct GoldenResult {
+  std::size_t edges;
+  std::uint64_t digest;
+  std::size_t unrecovered;
+  std::size_t nominal_bytes;
+  std::size_t passes_used;
+};
+
+void expect_golden(const MultipassResult& result, const GoldenResult& want) {
+  EXPECT_EQ(result.spanner.m(), want.edges);
+  EXPECT_EQ(edge_digest(result.spanner), want.digest);
+  EXPECT_EQ(result.unrecovered, want.unrecovered);
+  EXPECT_EQ(result.nominal_bytes, want.nominal_bytes);
+  EXPECT_EQ(result.passes_used, want.passes_used);
+}
+
+TEST(MultipassGolden, ChurnedK2) {
+  const Graph g = erdos_renyi_gnm(64, 400, 61);
+  const DynamicStream stream = DynamicStream::with_churn(g, 300, 67);
+  expect_golden(multipass_baswana_sen(stream, make_config(2, 71)),
+                {310, 0x4035d9595aafcda4ULL, 0, 29712432, 2});
+}
+
+TEST(MultipassGolden, TightTablesK3) {
+  // Under-provisioned tables: some decodes fail, so `unrecovered` is pinned
+  // away from zero.
+  const Graph g = erdos_renyi_gnm(100, 1500, 73);
+  const DynamicStream stream = DynamicStream::with_churn(g, 500, 79);
+  MultipassConfig config = make_config(3, 83);
+  config.table_capacity_factor = 0.1;
+  expect_golden(multipass_baswana_sen(stream, config),
+                {548, 0x2ba5436845f70157ULL, 20, 6355272, 3});
+}
+
+TEST(MultipassGolden, ShardedK3) {
+  const Graph g = erdos_renyi_gnm(80, 600, 89);
+  const DynamicStream stream = DynamicStream::with_churn(g, 400, 97);
+  MultipassSpanner spanner(80, make_config(3, 101));
+  StreamEngine engine(StreamEngineOptions{64, /*shards=*/3});
+  engine.attach(spanner);
+  (void)engine.run(stream);
+  expect_golden(spanner.take_result(),
+                {337, 0x3a8a5e70a1a571caULL, 2, 32701512, 3});
 }
 
 }  // namespace

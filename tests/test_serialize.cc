@@ -200,17 +200,33 @@ TEST(SerializeRoundTrip, DistinctElements) {
 }
 
 TEST(SerializeRoundTrip, LinearKv) {
+  // A one-level kv table through the flat state layout the multipass
+  // checkpoint carries: save -> load -> save is byte-identical, and a key
+  // that cancelled to zero leaves no record behind.
   LinearKvConfig config;
   config.max_key = 1 << 16;
   config.max_payload_coord = 1 << 10;
   config.capacity = 16;
   config.seed = 23;
-  LinearKeyValueSketch a(config);
+  KvTableBank a(config, /*levels=*/1);
   for (std::uint64_t k = 0; k < 24; ++k) {
-    a.update(k * 997 % (1 << 16), 1, (k * 13) % (1 << 10), 1);
+    a.update(k * 997 % (1 << 16), 1, (k * 13) % (1 << 10), 1, /*jmax=*/0);
   }
-  LinearKeyValueSketch b(config);
-  expect_round_trip_identity(a, b);
+  ser::Writer before;
+  a.serialize_flat_state(before);
+  a.update(7, 1, 5, 1, 0);
+  a.update(7, -1, 5, -1, 0);
+  ser::Writer saved;
+  a.serialize_flat_state(saved);
+  EXPECT_EQ(saved.buffer(), before.buffer());
+
+  KvTableBank b(config, 1);
+  ser::Reader r(saved.buffer().data(), saved.buffer().size());
+  b.deserialize_flat_state(r);
+  r.expect_end();
+  ser::Writer resaved;
+  b.serialize_flat_state(resaved);
+  EXPECT_EQ(resaved.buffer(), saved.buffer());
 }
 
 TEST(SerializeRoundTrip, SketchBankAndBankGroup) {
@@ -885,6 +901,41 @@ TEST(SerializeHostile, KvBankEntryCountIsBounded) {
   KvTableBank dst(config, 3);
   ser::Reader r(clean.data(), clean.size());
   EXPECT_NO_THROW(dst.deserialize_state(r));
+}
+
+TEST(SerializeHostile, MultipassTableCountIsBounded) {
+  const DynamicStream stream = test_stream(32, 120, 40, 144);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  MultipassConfig config;
+  config.k = 3;
+  config.seed = 44;
+  MultipassSpanner spanner(32, config);
+  spanner.absorb({updates.data(), updates.size()});
+  ser::Writer w;
+  spanner.serialize(w);
+  const std::vector<unsigned char> clean = w.buffer();
+  // The per-vertex tables close the payload; the last one's entry count is
+  // followed only by its payload cell count and its own entries.
+  std::size_t last = 0;
+  std::size_t offset = 0;
+  for (const auto& section : w.stats().sections) {
+    if (section.label == "kv_bank.flat_state") last = offset;
+    offset += section.bytes;
+  }
+  ASSERT_GT(last, 0u);
+  // 3 tables x 32 cells: slot ids below 96.  An entry is a slot id and 25
+  // cells, 808 bytes, so 95 entries are more than the payload holds.
+  ASSERT_LT((clean.size() - last - 16) / 808, 95u);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{95}, wrapping_count(8)}) {
+    std::vector<unsigned char> bytes = clean;
+    patch_u64(bytes, last, count);
+    MultipassSpanner dst(32, config);
+    expect_rejected(bytes, dst);
+  }
+  MultipassSpanner dst(32, config);
+  ser::Reader r(clean.data(), clean.size());
+  EXPECT_NO_THROW(dst.deserialize(r));
 }
 
 // A finished KConnectivitySketch stores its certificate graph as a vertex

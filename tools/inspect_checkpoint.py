@@ -36,7 +36,6 @@ TAG_NAMES = {
     "BKGR": "BankGroup",
     "SPRS": "SparseRecoverySketch",
     "DSTE": "DistinctElementsSketch",
-    "LKVS": "LinearKeyValueSketch",
     "AGMS": "AgmGraphSketch",
     "TPSP": "TwoPassSpanner",
     "SPFP": "SpanningForestProcessor",
