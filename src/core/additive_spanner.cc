@@ -88,9 +88,6 @@ AdditiveSpannerSketch::AdditiveSpannerSketch(Vertex n,
 void AdditiveSpannerSketch::apply_common(const EdgeUpdate& update) {
   const Vertex a = update.u;
   const Vertex b = update.v;
-  if (a >= n_ || b >= n_) {
-    throw std::out_of_range("additive spanner update endpoints invalid");
-  }
   neighborhood_[a].update(b, update.delta);
   neighborhood_[b].update(a, update.delta);
   degree_[a].update(b, update.delta);
@@ -111,12 +108,22 @@ void AdditiveSpannerSketch::apply_local(const EdgeUpdate& update) {
 void AdditiveSpannerSketch::update(const EdgeUpdate& update) {
   if (finished_) throw std::logic_error("sketch already finished");
   if (update.u == update.v) return;
+  if (update.u >= n_ || update.v >= n_) {
+    throw std::out_of_range("additive spanner update endpoints invalid");
+  }
   apply_local(update);
   agm_.update(update.u, update.v, update.delta);
 }
 
 void AdditiveSpannerSketch::absorb(std::span<const EdgeUpdate> batch) {
   if (finished_) throw std::logic_error("sketch already finished");
+  // Whole-batch validation before the first write: a bad endpoint leaves
+  // every sketch untouched.
+  for (const EdgeUpdate& u : batch) {
+    if (u.u != u.v && (u.u >= n_ || u.v >= n_)) {
+      throw std::out_of_range("additive spanner update endpoints invalid");
+    }
+  }
   // Center-sampler updates ride the bank's fused batched path (gathered
   // into a reused buffer); neighborhood/degree stay per-update (different
   // sketch types), and the AGM part takes the batch in one fused call.

@@ -92,8 +92,8 @@ class AdditiveSpannerSketch final : public StreamProcessor {
   double threshold_;
   std::vector<char> in_centers_;
 
-  // Validation plus the neighborhood/degree contributions shared by the
-  // per-update and batched paths.
+  // The neighborhood/degree contributions shared by the per-update and
+  // batched paths; both validate endpoints before calling it.
   void apply_common(const EdgeUpdate& update);
   // apply_common plus the scalar center-sampler updates (everything except
   // the AGM part; absorb() batches the center updates instead).

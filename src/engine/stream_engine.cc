@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -151,7 +153,8 @@ EngineRunStats StreamEngine::run_from(StreamSource& source,
       // checkpoints mid-pass at the configured cadence.
       if (driver != nullptr && options_.checkpoint_every_updates > 0 &&
           pass + 1 < total_passes) {
-        write_checkpoint(pass + 1, /*offset=*/0);
+        ser::Writer buffer;
+        write_checkpoint(pass + 1, /*offset=*/0, buffer);
       }
     }
   } catch (...) {
@@ -270,10 +273,12 @@ EngineRunStats StreamEngine::resume(const DynamicStream& stream,
 
 namespace {
 
-// Writes `bytes` to a fresh `path` and fsyncs it before returning: after
-// this, the bytes survive a power cut even though the file is not yet
-// linked under its final name.
-void write_file_durable(const std::string& path, const std::string& bytes) {
+// Writes the concatenation of `parts` to a fresh `path` and fsyncs it
+// before returning: after this, the bytes survive a power cut even though
+// the file is not yet linked under its final name.
+void write_file_durable(
+    const std::string& path,
+    std::initializer_list<std::span<const unsigned char>> parts) {
   if (fault::fire(fault::site::kCheckpointWrite)) {
     throw ser::SerializeError(
         "injected transient checkpoint write failure (ENOSPC): " + path);
@@ -284,18 +289,20 @@ void write_file_durable(const std::string& path, const std::string& bytes) {
     throw ser::SerializeError("cannot open checkpoint tmp file: " + path +
                               ": " + std::strerror(errno));
   }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ::ssize_t got =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw ser::SerializeError("checkpoint write failed: " + path + ": " +
-                                std::strerror(err));
+  for (const std::span<const unsigned char> part : parts) {
+    std::size_t written = 0;
+    while (written < part.size()) {
+      const ::ssize_t got =
+          ::write(fd, part.data() + written, part.size() - written);
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        const int err = errno;
+        ::close(fd);
+        throw ser::SerializeError("checkpoint write failed: " + path + ": " +
+                                  std::strerror(err));
+      }
+      written += static_cast<std::size_t>(got);
     }
-    written += static_cast<std::size_t>(got);
   }
   if (::fsync(fd) != 0) {
     const int err = errno;
@@ -323,9 +330,11 @@ void fsync_parent_dir(const std::string& path) {
 
 }  // namespace
 
-void StreamEngine::write_checkpoint(std::size_t pass,
-                                    std::uint64_t offset) const {
-  ser::Writer w;
+void StreamEngine::write_checkpoint(std::size_t pass, std::uint64_t offset,
+                                    ser::Writer& w) const {
+  // Every processor serializes straight into the one checkpoint buffer,
+  // behind its tag and a u64 length patched once its payload is written.
+  w.clear();
   w.begin_section("checkpoint.header");
   w.u32(processors_.front()->n());
   w.u64(pass);
@@ -339,18 +348,15 @@ void StreamEngine::write_checkpoint(std::size_t pass,
           "checkpointing requires every attached processor to be "
           "serializable");
     }
-    ser::Writer pw;
-    p->serialize(pw);
-    w.begin_section("checkpoint.processor");
     w.u32(tag);
-    w.u64(pw.buffer().size());
-    w.bytes(pw.buffer().data(), pw.buffer().size());
-    w.end_section();
+    const std::size_t length_slot = w.u64_slot();
+    const std::size_t start = w.buffer().size();
+    p->serialize(w);
+    w.patch_u64(length_slot, w.buffer().size() - start);
   }
-  std::ostringstream envelope(std::ios::binary);
-  ser::detail::write_envelope(envelope, ser::kTagCheckpoint, w.buffer(),
-                              nullptr);
-  const std::string bytes = std::move(envelope).str();
+  const std::vector<unsigned char>& payload = w.buffer();
+  const ser::detail::EnvelopeFrame frame =
+      ser::detail::frame_envelope(ser::kTagCheckpoint, payload);
 
   // Durability protocol (every step is a crash point the recovery harness
   // kills at; resume() tolerates all of them):
@@ -366,7 +372,7 @@ void StreamEngine::write_checkpoint(std::size_t pass,
   constexpr int kWriteAttempts = 3;
   for (int attempt = 1;; ++attempt) {
     try {
-      write_file_durable(tmp, bytes);
+      write_file_durable(tmp, {frame.header, payload, frame.trailer});
       break;
     } catch (const ser::SerializeError&) {
       if (attempt >= kWriteAttempts) throw;
@@ -423,6 +429,8 @@ void StreamEngine::run_pass_sequential(
     EngineRunStats& stats, std::size_t pass_index,
     std::uint64_t skip_updates) {
   std::vector<EdgeUpdate> buffer(options_.batch_size);
+  // Released when the pass's input ends, before the pass boundary.
+  ser::Writer checkpoint_buffer;
   const bool first_pass = pass_index == 0 && skip_updates == 0;
   // Updates absorbed during this pass so far, including a resumed prefix:
   // the offset recorded with each checkpoint.
@@ -454,7 +462,7 @@ void StreamEngine::run_pass_sequential(
       updates_since_checkpoint_ += feed.size();
       if (updates_since_checkpoint_ >= options_.checkpoint_every_updates) {
         updates_since_checkpoint_ = 0;
-        write_checkpoint(pass_index, absorbed_in_pass);
+        write_checkpoint(pass_index, absorbed_in_pass, checkpoint_buffer);
       }
     }
   }

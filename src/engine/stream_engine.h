@@ -28,6 +28,7 @@
 #include "engine/health.h"
 #include "engine/stream_processor.h"
 #include "engine/stream_source.h"
+#include "serialize/serialize_fwd.h"
 
 namespace kw {
 
@@ -176,7 +177,11 @@ class StreamEngine {
     std::uint64_t offset = 0;
   };
   CheckpointCut load_checkpoint(const std::string& path);
-  void write_checkpoint(std::size_t pass, std::uint64_t offset) const;
+  // Serializes the processors into `w` (cleared first) and publishes it
+  // as the checkpoint file.  Callers keep one Writer per pass, so the cuts
+  // of a pass reuse one allocation instead of regrowing it each time.
+  void write_checkpoint(std::size_t pass, std::uint64_t offset,
+                        ser::Writer& w) const;
   void collect_health(EngineRunStats& stats) const;
   void check_not_poisoned() const;
   void run_pass_sequential(StreamSource& source,

@@ -54,6 +54,20 @@ class Writer {
     buf_.insert(buf_.end(), p, p + len);
   }
 
+  // A u64 whose value is known only after later fields are written (a
+  // nested section's length): u64_slot() writes a placeholder and returns
+  // its offset, patch_u64() fills it in.
+  [[nodiscard]] std::size_t u64_slot() {
+    const std::size_t offset = buf_.size();
+    u64(0);
+    return offset;
+  }
+  void patch_u64(std::size_t offset, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      buf_[offset + i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+  }
+
   // Section accounting: everything written between begin_section() and
   // end_section() is charged to one SerializeStats row.
   void begin_section(std::string label) {
@@ -65,6 +79,12 @@ class Writer {
   void end_section() {
     stats_.sections.push_back(
         {section_label_, buf_.size() - section_start_, section_sparse_});
+  }
+
+  // Empties the buffer and the stats but keeps the allocation.
+  void clear() {
+    buf_.clear();
+    stats_ = {};
   }
 
   [[nodiscard]] const std::vector<unsigned char>& buffer() const noexcept {

@@ -20,36 +20,36 @@ std::string tag_name(std::uint32_t tag) {
 
 // ---- cell sections ------------------------------------------------------
 
-namespace {
-
 // OneSparseCell's wire image is exactly its memory image on little-endian
 // hosts: four 8-byte words, no padding.
 static_assert(sizeof(OneSparseCell) == 32,
               "OneSparseCell wire format assumes 4 packed 8-byte words");
 
-void put_cell_fields(Writer& w, const OneSparseCell& c) {
-  w.i64(c.count);
-  w.u64(c.coord_sum);
-  w.u64(c.fp1);
-  w.u64(c.fp2);
+void put_cells(Writer& w, std::span<const OneSparseCell> cells) {
+  if constexpr (std::endian::native == std::endian::little) {
+    w.bytes(cells.data(), cells.size_bytes());
+  } else {
+    for (const OneSparseCell& c : cells) {
+      w.i64(c.count);
+      w.u64(c.coord_sum);
+      w.u64(c.fp1);
+      w.u64(c.fp2);
+    }
+  }
 }
 
-OneSparseCell get_cell_fields(Reader& r) {
-  OneSparseCell c;
-  c.count = r.i64();
-  c.coord_sum = r.u64();
-  c.fp1 = r.u64();
-  c.fp2 = r.u64();
-  return c;
+void get_cells(Reader& r, std::span<OneSparseCell> cells) {
+  if constexpr (std::endian::native == std::endian::little) {
+    r.bytes(cells.data(), cells.size_bytes());
+  } else {
+    for (OneSparseCell& c : cells) {
+      c.count = r.i64();
+      c.coord_sum = r.u64();
+      c.fp1 = r.u64();
+      c.fp2 = r.u64();
+    }
+  }
 }
-
-}  // namespace
-
-void put_cell(Writer& w, const OneSparseCell& cell) {
-  put_cell_fields(w, cell);
-}
-
-OneSparseCell get_cell(Reader& r) { return get_cell_fields(r); }
 
 void write_cells(Writer& w, std::span<const OneSparseCell> cells,
                  const char* label) {
@@ -74,12 +74,10 @@ void write_cells(Writer& w, std::span<const OneSparseCell> cells,
     for (std::size_t i = 0; i < total; ++i) {
       if (cells[i].is_zero()) continue;
       w.u32(static_cast<std::uint32_t>(i));
-      put_cell_fields(w, cells[i]);
+      put_cells(w, cells.subspan(i, 1));
     }
-  } else if (std::endian::native == std::endian::little) {
-    w.bytes(cells.data(), total * sizeof(OneSparseCell));
   } else {
-    for (const OneSparseCell& c : cells) put_cell_fields(w, c);
+    put_cells(w, cells);
   }
   w.end_section();
 }
@@ -93,11 +91,7 @@ void read_cells(Reader& r, std::span<OneSparseCell> cells) {
   }
   const std::uint8_t mode = r.u8();
   if (mode == 0) {
-    if (std::endian::native == std::endian::little) {
-      r.bytes(cells.data(), cells.size() * sizeof(OneSparseCell));
-    } else {
-      for (OneSparseCell& c : cells) c = get_cell_fields(r);
-    }
+    get_cells(r, cells);
   } else if (mode == 1) {
     std::fill(cells.begin(), cells.end(), OneSparseCell{});
     const std::uint64_t nonzero = r.u64();
@@ -114,7 +108,7 @@ void read_cells(Reader& r, std::span<OneSparseCell> cells) {
                              " out of order or out of range");
       }
       prev = index;
-      cells[index] = get_cell_fields(r);
+      get_cells(r, cells.subspan(index, 1));
     }
   } else {
     throw SerializeError("unknown cell section mode " + std::to_string(mode));
@@ -199,16 +193,12 @@ namespace detail {
 
 namespace {
 
-void append_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
-  }
+void store_u32(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
 }
 
-void append_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
-  }
+void store_u64(unsigned char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
 }
 
 [[nodiscard]] std::uint32_t parse_u32(const unsigned char* p) {
@@ -226,45 +216,48 @@ void append_u64(std::vector<unsigned char>& out, std::uint64_t v) {
 
 }  // namespace
 
-void write_envelope(std::ostream& os, std::uint32_t tag,
-                    const std::vector<unsigned char>& payload,
-                    SerializeStats* stats) {
+EnvelopeFrame frame_envelope(std::uint32_t tag,
+                             std::span<const unsigned char> payload) {
   if (fault::fire(fault::site::kSerializeWriteEnospc)) {
     throw SerializeError("injected ENOSPC: no space left on device");
   }
-  std::vector<unsigned char> header;
-  header.reserve(20);
-  append_u32(header, kMagic);
-  append_u32(header, kFormatVersion);
-  append_u32(header, tag);
-  append_u64(header, payload.size());
-  std::uint32_t crc = crc32(header.data(), header.size());
+  EnvelopeFrame frame;
+  store_u32(frame.header.data(), kMagic);
+  store_u32(frame.header.data() + 4, kFormatVersion);
+  store_u32(frame.header.data() + 8, tag);
+  store_u64(frame.header.data() + 12, payload.size());
+  std::uint32_t crc = crc32(frame.header.data(), frame.header.size());
   crc = crc32(payload.data(), payload.size(), crc);
+  store_u32(frame.trailer.data(), crc);
+  return frame;
+}
+
+void write_envelope(std::ostream& os, std::uint32_t tag,
+                    const std::vector<unsigned char>& payload,
+                    SerializeStats* stats) {
+  const EnvelopeFrame frame = frame_envelope(tag, payload);
+  const auto put = [&os](const unsigned char* data, std::size_t len) {
+    os.write(reinterpret_cast<const char*>(data),
+             static_cast<std::streamsize>(len));
+  };
   if (fault::fire(fault::site::kSerializeWriteShort)) {
     // Short write: half the envelope lands, then the device gives out.  The
     // truncated bytes stay in the stream -- readers must reject them.
-    os.write(reinterpret_cast<const char*>(header.data()),
-             static_cast<std::streamsize>(header.size()));
-    os.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size() / 2));
+    put(frame.header.data(), frame.header.size());
+    put(payload.data(), payload.size() / 2);
     os.flush();
     os.setstate(std::ios::failbit);
     throw SerializeError("write to output stream failed (injected short "
                          "write)");
   }
-  os.write(reinterpret_cast<const char*>(header.data()),
-           static_cast<std::streamsize>(header.size()));
-  os.write(reinterpret_cast<const char*>(payload.data()),
-           static_cast<std::streamsize>(payload.size()));
-  unsigned char crc_bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    crc_bytes[i] = static_cast<unsigned char>((crc >> (8 * i)) & 0xFF);
-  }
-  os.write(reinterpret_cast<const char*>(crc_bytes), 4);
+  put(frame.header.data(), frame.header.size());
+  put(payload.data(), payload.size());
+  put(frame.trailer.data(), frame.trailer.size());
   if (!os) throw SerializeError("write to output stream failed");
   if (stats != nullptr) {
     stats->payload_bytes = payload.size();
-    stats->total_bytes = header.size() + payload.size() + 4;
+    stats->total_bytes =
+        frame.header.size() + payload.size() + frame.trailer.size();
   }
 }
 

@@ -24,6 +24,7 @@
 #ifndef KW_SERIALIZE_SERIALIZE_H
 #define KW_SERIALIZE_SERIALIZE_H
 
+#include <array>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -124,9 +125,11 @@ void write_cells(Writer& w, std::span<const OneSparseCell> cells,
                  const char* label);
 void read_cells(Reader& r, std::span<OneSparseCell> cells);
 
-// Single-cell helpers for scalar cell fields.
-void put_cell(Writer& w, const OneSparseCell& cell);
-[[nodiscard]] OneSparseCell get_cell(Reader& r);
+// A run of raw cells, 32 bytes each (count, coord_sum, fp1, fp2), with no
+// header: the dense body of a cell section and the kv bank rows.  On
+// little-endian hosts this is one bulk copy of the run's memory image.
+void put_cells(Writer& w, std::span<const OneSparseCell> cells);
+void get_cells(Reader& r, std::span<OneSparseCell> cells);
 
 // ---- small aggregate helpers --------------------------------------------
 
@@ -163,6 +166,18 @@ void check_field(A stored, B live, const char* name) {
 void check_f64_field(double stored, double live, const char* name);
 
 namespace detail {
+
+// The framing around one payload: the 20-byte header and the CRC-32
+// trailer over header + payload.  The only writer of the header layout;
+// write_envelope() and the engine's checkpoint writer both frame through
+// it.  Fault site serialize.write.enospc fires here, before any byte is
+// written.
+struct EnvelopeFrame {
+  std::array<unsigned char, 20> header;
+  std::array<unsigned char, 4> trailer;
+};
+[[nodiscard]] EnvelopeFrame frame_envelope(
+    std::uint32_t tag, std::span<const unsigned char> payload);
 
 void write_envelope(std::ostream& os, std::uint32_t tag,
                     const std::vector<unsigned char>& payload,

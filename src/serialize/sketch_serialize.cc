@@ -148,9 +148,7 @@ void KvTableBank::serialize_state(ser::Writer& w) const {
     // decode semantics round-trip unchanged.  The arena block layout is a
     // memory detail: the wire carries the same dense row stream the
     // historical per-entry vectors produced.
-    const OneSparseCell* cells = cells_of(e);
-    const std::size_t count = std::size_t{e.rows} * cell_stride_;
-    for (std::size_t c = 0; c < count; ++c) ser::put_cell(w, cells[c]);
+    ser::put_cells(w, {cells_of(e), std::size_t{e.rows} * cell_stride_});
   }
   w.end_section();
 }
@@ -190,8 +188,7 @@ void KvTableBank::deserialize_state(ser::Reader& r) {
     e.cap = e.rows;  // exact-size block: a bulk load never regrows
     const std::size_t cells = std::size_t{e.rows} * cell_stride_;
     e.block = arena_.allocate(cells);
-    OneSparseCell* dst = arena_.data(e.block);
-    for (std::size_t c = 0; c < cells; ++c) dst[c] = ser::get_cell(r);
+    ser::get_cells(r, {arena_.data(e.block), cells});
     entries_.push_back(e);
   }
   // One rebuild at the final size (grow_table sizes off entries_.size()).
@@ -218,7 +215,7 @@ void KvTableBank::serialize_flat_state(ser::Writer& w) const {
   w.u64(cell_stride_ - 1);  // payload cells per slot
   for (const auto& [slot_id, cells] : live) {
     w.u64(slot_id);
-    for (std::size_t c = 0; c < cell_stride_; ++c) ser::put_cell(w, cells[c]);
+    ser::put_cells(w, {cells, cell_stride_});
   }
   w.end_section();
 }
@@ -254,8 +251,7 @@ void KvTableBank::deserialize_flat_state(ser::Reader& r) {
     e.rows = 1;
     e.cap = 1;
     e.block = arena_.allocate(cell_stride_);
-    OneSparseCell* dst = arena_.data(e.block);
-    for (std::size_t c = 0; c < cell_stride_; ++c) dst[c] = ser::get_cell(r);
+    ser::get_cells(r, {arena_.data(e.block), cell_stride_});
     entries_.push_back(e);
   }
   if (!entries_.empty()) grow_table();

@@ -131,7 +131,8 @@ namespace site {
 // serialize.cc write_envelope: emit a short (truncated) envelope, then fail
 // the stream -> ser::save throws SerializeError.
 inline constexpr char kSerializeWriteShort[] = "serialize.write.short";
-// serialize.cc write_envelope: fail before writing anything (disk full).
+// serialize.cc frame_envelope, on every ser::save and engine checkpoint:
+// fail before writing anything (disk full).
 inline constexpr char kSerializeWriteEnospc[] = "serialize.write.enospc";
 // serialize.cc read_envelope: flip one payload bit after the read, before
 // the CRC check -- which must therefore throw SerializeError.

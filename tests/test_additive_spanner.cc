@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "serialize/serialize.h"
 
 namespace kw {
 namespace {
@@ -143,6 +147,16 @@ TEST(Additive, FinishTwiceThrows) {
   (void)sketch.finish();
   EXPECT_THROW((void)sketch.finish(), std::logic_error);
   EXPECT_THROW(sketch.update({0, 1, 1, 1.0}), std::logic_error);
+}
+
+// A batch whose last update is out of range is rejected whole: no earlier
+// update of it may reach any sketch.
+TEST(AdditiveSpanner, OutOfRangeBatchLeavesStateUntouched) {
+  AdditiveSpannerSketch sketch(32, make_config(4, 84));
+  const std::vector<EdgeUpdate> batch = {{1, 2, +1}, {3, 4, +1}, {5, 99, +1}};
+  EXPECT_THROW(sketch.absorb(batch), std::out_of_range);
+  const AdditiveSpannerSketch fresh(32, make_config(4, 84));
+  EXPECT_TRUE(ser::save_to_bytes(sketch) == ser::save_to_bytes(fresh));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -172,6 +173,62 @@ TEST(SerializeEnvelope, SparseAndDenseCellSections) {
   const std::string big = ser::save_to_bytes(full, &dense_stats);
   EXPECT_GT(big.size(), small.size());
   EXPECT_GT(dense_stats.cells_nonzero * 2, dense_stats.cells_total);
+}
+
+// ---- CRC-32 ---------------------------------------------------------------
+
+// Bit-at-a-time reflected CRC-32 (polynomial 0xEDB88320), the definition
+// the table-driven crc32() must reproduce.
+[[nodiscard]] std::uint32_t crc32_reference(const unsigned char* data,
+                                            std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+[[nodiscard]] std::vector<unsigned char> random_bytes(std::size_t len,
+                                                      std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> out(len);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng());
+  return out;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(ser::crc32(reinterpret_cast<const unsigned char*>(check.data()),
+                       check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(ser::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  // Every short length at every alignment: the 8-byte main loop, the
+  // byte tail, and both together.
+  const std::vector<unsigned char> small = random_bytes(64 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = small.data() + offset;
+      ASSERT_EQ(ser::crc32(p, len), crc32_reference(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Large random buffers, whole and chained through the seed at uneven
+  // split points.
+  for (std::uint64_t seed = 2; seed < 5; ++seed) {
+    const std::vector<unsigned char> big = random_bytes(1 << 20, seed);
+    const std::uint32_t whole = crc32_reference(big.data(), big.size());
+    EXPECT_EQ(ser::crc32(big.data(), big.size()), whole);
+    const std::size_t split = 1000 * seed + 3;
+    std::uint32_t chained = ser::crc32(big.data(), split);
+    chained = ser::crc32(big.data() + split, big.size() - split, chained);
+    EXPECT_EQ(chained, whole);
+  }
 }
 
 // ---- round trips: sketches ------------------------------------------------
@@ -471,6 +528,43 @@ TEST(SerializeGolden, MultipassSpannerPhase2) {
   EXPECT_EQ(fnv1a(bytes), 0xb08ee70c9c87454bULL);
 }
 
+// The two-pass spanner's payloads: the pass-1 page fleet, and the pass-2
+// cluster forest plus its materialized KvTableBank level-diff rows.
+
+[[nodiscard]] TwoPassConfig golden_two_pass_config() {
+  TwoPassConfig config;
+  config.k = 2;
+  config.seed = 53;
+  return config;
+}
+
+TEST(SerializeGolden, TwoPassSpannerPass1) {
+  const DynamicStream stream = test_stream(32, 120, 40, 152);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  TwoPassSpanner spanner(32, golden_two_pass_config());
+  spanner.absorb({updates.data(), updates.size() / 2});
+  const std::string bytes = ser::save_to_bytes(spanner);
+  EXPECT_EQ(bytes.size(), 6207u);
+  EXPECT_EQ(fnv1a(bytes), 0x28fd2457bc41a43bULL);
+}
+
+TEST(SerializeGolden, TwoPassSpannerPass2) {
+  const DynamicStream stream = test_stream(32, 120, 40, 152);
+  const std::vector<EdgeUpdate> updates = stream_updates(stream);
+  TwoPassSpanner spanner(32, golden_two_pass_config());
+  spanner.absorb({updates.data(), updates.size()});
+  spanner.advance_pass();
+  spanner.absorb({updates.data(), updates.size() / 3});
+  ser::SerializeStats stats;
+  const std::string bytes = ser::save_to_bytes(spanner, &stats);
+  const auto banks = std::count_if(
+      stats.sections.begin(), stats.sections.end(),
+      [](const auto& s) { return s.label == "kv_bank.state"; });
+  EXPECT_GT(banks, 0);
+  EXPECT_EQ(bytes.size(), 791486u);
+  EXPECT_EQ(fnv1a(bytes), 0xb4f4cca79480a718ULL);
+}
+
 // ---- the distributed merge protocol --------------------------------------
 
 TEST(SerializeMerge, ForestShardsMatchSequential) {
@@ -668,7 +762,7 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedFiles) {
   // before any state is parsed (the corrupt-latest-with-good-prev case --
   // fallback succeeds -- lives in test_crash_recovery.cc).
   {
-    for (const std::string path : {ckpt.path(), ckpt.path() + ".prev"}) {
+    for (const std::string& path : {ckpt.path(), ckpt.path() + ".prev"}) {
       std::ifstream is(path, std::ios::binary);
       if (!is) continue;
       std::string bytes((std::istreambuf_iterator<char>(is)),
@@ -753,6 +847,43 @@ TEST(Checkpoint, ShardedResumeRejectsMidPassCut) {
   sharded.attach(fresh);
   EXPECT_THROW((void)sharded.resume(stream, ckpt.path()),
                ser::SerializeError);
+}
+
+[[nodiscard]] std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+// Pins the engine's checkpoint files themselves (envelope, header, nested
+// processor sections): a TwoPassSpanner run whose last two checkpoints are
+// both cuts inside pass 2, so the latest file and its rotation sibling hold
+// materialized KvTableBanks.
+TEST(CheckpointGolden, EngineFiles) {
+  const DynamicStream stream = test_stream(32, 120, 40, 153);
+  const CheckpointFile ckpt("golden_engine.kwsk");
+  StreamEngineOptions options;
+  options.batch_size = 32;
+  // Cuts near 0.6, 1.2 and 1.8 passes (batch granularity).
+  options.checkpoint_every_updates = stream.size() * 3 / 5;
+  options.checkpoint_path = ckpt.path();
+  {
+    TwoPassSpanner spanner(32, golden_two_pass_config());
+    StreamEngine engine(options);
+    engine.attach(spanner);
+    (void)engine.run(stream);
+  }
+  const std::string latest = file_bytes(ckpt.path());
+  const std::string prev = file_bytes(ckpt.path() + ".prev");
+  // Payload bytes 4..11 (file offset 24) hold the pass index: 1 = pass 2.
+  for (const std::string* file : {&latest, &prev}) {
+    ASSERT_GT(file->size(), 32u);
+    EXPECT_EQ(static_cast<int>((*file)[24]), 1);
+  }
+  EXPECT_EQ(latest.size(), 1471270u);
+  EXPECT_EQ(fnv1a(latest), 0x4ef199e8bc2ee9d6ULL);
+  EXPECT_EQ(prev.size(), 595934u);
+  EXPECT_EQ(fnv1a(prev), 0x1e8693eb3ceaf39eULL);
 }
 
 
