@@ -82,10 +82,12 @@ class KConnectivitySketch final : public StreamProcessor {
   }
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
 
-  // ---- serialization (src/serialize/processor_serialize.cc) ------------
+  // ---- serialization: fields() in src/serialize/processor_serialize.cc ---
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
  private:
   Vertex n_;

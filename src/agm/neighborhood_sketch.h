@@ -88,9 +88,12 @@ class AgmGraphSketch {
     return group_.nominal_bytes();
   }
 
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
+  // ---- serialization: fields() in src/serialize/sketch_serialize.cc -----
+  [[nodiscard]] std::uint32_t serial_tag() const noexcept;
   void serialize(ser::Writer& w) const;
   void deserialize(ser::Reader& r);
+  template <class V>
+  void fields(V& v);
 
  private:
   Vertex n_;

@@ -100,10 +100,12 @@ class SpanningForestProcessor final : public StreamProcessor {
     return sketch_;
   }
 
-  // ---- serialization (src/serialize/processor_serialize.cc) ------------
+  // ---- serialization: fields() in src/serialize/processor_serialize.cc ---
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
  private:
   AgmConfig config_;

@@ -81,10 +81,12 @@ class AdditiveSpannerSketch final : public StreamProcessor {
   [[nodiscard]] bool is_center(Vertex v) const { return in_centers_[v] != 0; }
   [[nodiscard]] double degree_threshold() const noexcept { return threshold_; }
 
-  // ---- serialization (src/serialize/processor_serialize.cc) ------------
+  // ---- serialization: fields() in src/serialize/spanner_serialize.cc ----
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
  private:
   Vertex n_;

@@ -110,12 +110,14 @@ class ClusterForest {
   // Diagnostics: number of copies / terminals at each level.
   [[nodiscard]] std::vector<std::size_t> terminals_per_level() const;
 
-  // ---- serialization (src/serialize/spanner_serialize.cc) --------------
+  // ---- serialization: fields() in src/serialize/spanner_serialize.cc ----
   // The hierarchy is sampled deterministically from (n, k, seed) by the
   // owner, so only the built structure is stored; deserialize() requires a
   // destination constructed from the identical hierarchy.
   void serialize(ser::Writer& w) const;
   void deserialize(ser::Reader& r);
+  template <class V>
+  void fields(V& v);
 
  private:
   ClusterHierarchy hierarchy_;  // by value: results outlive their builders

@@ -145,12 +145,14 @@ class Kp12Sparsifier final : public StreamProcessor {
   // (Corollary 2's weighted case is weighted_kp12_sparsify below).
   [[nodiscard]] Kp12Result run(const DynamicStream& stream);
 
-  // ---- serialization (src/serialize/spanner_serialize.cc) --------------
+  // ---- serialization: fields() in src/serialize/spanner_serialize.cc ----
   // Supported in kPass1 and kPass2 (never-updated instances serialize as a
   // flag, not a fleet); a finished sparsifier's state lives in its result.
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
  private:
   enum class Phase { kPass1, kPass2, kDone };

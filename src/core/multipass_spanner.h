@@ -73,12 +73,14 @@ class MultipassSpanner final : public StreamProcessor {
   // Convenience: exactly k pass-counted replays via StreamEngine.
   [[nodiscard]] MultipassResult run(const DynamicStream& stream);
 
-  // ---- serialization (src/serialize/spanner_serialize.cc) --------------
+  // ---- serialization: fields() in src/serialize/spanner_serialize.cc ----
   // Supported at any point before finish(); the clustering state and the
   // current phase's linear sketches are stored together.
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
  private:
   struct EmptyCloneTag {};

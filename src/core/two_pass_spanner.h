@@ -296,7 +296,7 @@ class TwoPassSpanner final : public StreamProcessor {
   // --- convenience: exactly two pass-counted replays via StreamEngine ---
   [[nodiscard]] TwoPassResult run(const DynamicStream& stream);
 
-  // ---- serialization (src/serialize/spanner_serialize.cc) --------------
+  // ---- serialization: fields() in src/serialize/spanner_serialize.cc ----
   // Supported at any phase before kDone (checkpoints land mid-pass; the
   // distributed protocol ships pass-1 shards, the advanced between-pass
   // state, and pass-2 shards).  A finished spanner's state lives in its
@@ -304,6 +304,8 @@ class TwoPassSpanner final : public StreamProcessor {
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
  private:
   enum class Phase { kPass1, kBetween, kPass2, kDone };

@@ -120,13 +120,15 @@ class DemuxProcessor final : public StreamProcessor {
   void use_worker_pool(std::shared_ptr<WorkerPool> pool,
                        std::size_t decode_lanes) override;
 
-  // ---- serialization (src/serialize/processor_serialize.cc) ------------
+  // ---- serialization: fields() in src/serialize/processor_serialize.cc ---
   // A demux serializes as the ordered list of its lanes' payloads; every
   // lane must itself be serializable.  deserialize() restores lane state in
   // place (the lanes are not owned).
   [[nodiscard]] std::uint32_t serial_tag() const noexcept override;
   void serialize(ser::Writer& w) const override;
   void deserialize(ser::Reader& r) override;
+  template <class V>
+  void fields(V& v);
 
   // Sums the lanes' decode-failure accounting (engine/health.h):
   // failures_per_round gets one entry per lane (that lane's total), and the

@@ -194,13 +194,12 @@ StreamEngine::CheckpointCut StreamEngine::load_checkpoint(
   if (!is) {
     throw ser::SerializeError("cannot open checkpoint file: " + path);
   }
-  const std::vector<unsigned char> payload =
-      ser::detail::read_envelope(is, ser::kTagCheckpoint);
-  ser::Reader r(payload.data(), payload.size());
-  const std::uint32_t n = r.u32();
-  const std::uint64_t pass = r.u64();
-  const std::uint64_t offset = r.u64();
-  const std::uint64_t count = r.u64();
+  std::vector<unsigned char> storage;
+  ser::Reader r = ser::detail::read_envelope(is, ser::kTagCheckpoint, storage);
+  const auto n = r.get<std::uint32_t>();
+  const auto pass = r.get<std::uint64_t>();
+  const auto offset = r.get<std::uint64_t>();
+  const auto count = r.get<std::uint64_t>();
   if (count != processors_.size()) {
     throw ser::SerializeError(
         "checkpoint holds " + std::to_string(count) +
@@ -214,24 +213,14 @@ StreamEngine::CheckpointCut StreamEngine::load_checkpoint(
         "boundary -- resume with shards == 1 or re-checkpoint at a pass "
         "boundary");
   }
-  for (StreamProcessor* p : processors_) {
+  for (const StreamProcessor* p : processors_) {
     if (p->n() != n) {
       throw ser::SerializeError(
           "checkpoint was taken over n=" + std::to_string(n) +
           " but a processor is built for n=" + std::to_string(p->n()));
     }
-    const std::uint32_t tag = r.u32();
-    if (tag != p->serial_tag()) {
-      throw ser::SerializeError(
-          "checkpoint processor type mismatch: file holds '" +
-          ser::tag_name(tag) + "', attached processor is '" +
-          ser::tag_name(p->serial_tag()) + "'");
-    }
-    const std::uint64_t len = r.u64();
-    ser::Reader sub = r.sub(len);
-    p->deserialize(sub);
-    sub.expect_end();
   }
+  ser::Loader(r).processors(processors_, nullptr);
   r.expect_end();
   return {static_cast<std::size_t>(pass), offset};
 }
@@ -333,27 +322,16 @@ void fsync_parent_dir(const std::string& path) {
 void StreamEngine::write_checkpoint(std::size_t pass, std::uint64_t offset,
                                     ser::Writer& w) const {
   // Every processor serializes straight into the one checkpoint buffer,
-  // behind its tag and a u64 length patched once its payload is written.
+  // behind its tag and a u64 length patched once its payload is written
+  // (the processor-list framing DemuxProcessor shares).
   w.clear();
   w.begin_section("checkpoint.header");
-  w.u32(processors_.front()->n());
-  w.u64(pass);
-  w.u64(offset);
-  w.u64(processors_.size());
+  w.put<std::uint32_t>(processors_.front()->n());
+  w.put<std::uint64_t>(pass);
+  w.put<std::uint64_t>(offset);
+  w.put<std::uint64_t>(processors_.size());
   w.end_section();
-  for (const StreamProcessor* p : processors_) {
-    const std::uint32_t tag = p->serial_tag();
-    if (tag == 0) {
-      throw ser::SerializeError(
-          "checkpointing requires every attached processor to be "
-          "serializable");
-    }
-    w.u32(tag);
-    const std::size_t length_slot = w.u64_slot();
-    const std::size_t start = w.buffer().size();
-    p->serialize(w);
-    w.patch_u64(length_slot, w.buffer().size() - start);
-  }
+  ser::Saver(w).processors(processors_, nullptr);
   const std::vector<unsigned char>& payload = w.buffer();
   const ser::detail::EnvelopeFrame frame =
       ser::detail::frame_envelope(ser::kTagCheckpoint, payload);

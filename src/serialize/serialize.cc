@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "engine/stream_processor.h"
-#include "graph/graph.h"
 #include "util/fault_injection.h"
 
 namespace kw::ser {
@@ -18,174 +17,98 @@ std::string tag_name(std::uint32_t tag) {
   return s;
 }
 
-// ---- cell sections ------------------------------------------------------
+// ---- visitor primitives ------------------------------------------------
 
 // OneSparseCell's wire image is exactly its memory image on little-endian
 // hosts: four 8-byte words, no padding.
 static_assert(sizeof(OneSparseCell) == 32,
               "OneSparseCell wire format assumes 4 packed 8-byte words");
 
-void put_cells(Writer& w, std::span<const OneSparseCell> cells) {
-  if constexpr (std::endian::native == std::endian::little) {
-    w.bytes(cells.data(), cells.size_bytes());
-  } else {
-    for (const OneSparseCell& c : cells) {
-      w.i64(c.count);
-      w.u64(c.coord_sum);
-      w.u64(c.fp1);
-      w.u64(c.fp2);
+template <bool Loading>
+void Visitor<Loading>::cells(std::span<OneSparseCell> cells,
+                             const char* label) {
+  section(label, [&] {
+    same(std::uint64_t{cells.size()}, "cell section length");
+    std::uint64_t nonzero = 0;
+    if constexpr (!kLoading) {
+      for (const OneSparseCell& c : cells) nonzero += c.is_zero() ? 0 : 1;
+      s_->stats().cells_total += cells.size();
+      s_->stats().cells_nonzero += nonzero;
     }
-  }
-}
-
-void get_cells(Reader& r, std::span<OneSparseCell> cells) {
-  if constexpr (std::endian::native == std::endian::little) {
-    r.bytes(cells.data(), cells.size_bytes());
-  } else {
-    for (OneSparseCell& c : cells) {
-      c.count = r.i64();
-      c.coord_sum = r.u64();
-      c.fp1 = r.u64();
-      c.fp2 = r.u64();
+    // Sparse encoding pays 36 bytes per non-zero cell vs 32 dense, and its
+    // indices are u32: use it only below 50% occupancy and within u32 range.
+    std::uint8_t mode =
+        nonzero * 2 < cells.size() &&
+        cells.size() <= std::numeric_limits<std::uint32_t>::max();
+    value(mode);
+    check(mode <= 1, "unknown cell section mode");
+    if (mode == 0) {
+      rows(cells);
+      return;
     }
-  }
-}
-
-void write_cells(Writer& w, std::span<const OneSparseCell> cells,
-                 const char* label) {
-  w.begin_section(label);
-  const std::size_t total = cells.size();
-  std::size_t nonzero = 0;
-  for (const OneSparseCell& c : cells) {
-    if (!c.is_zero()) ++nonzero;
-  }
-  w.stats().cells_total += total;
-  w.stats().cells_nonzero += nonzero;
-  w.u64(total);
-  // Sparse encoding pays 36 bytes per non-zero cell vs 32 dense, and its
-  // indices are u32: use it only below 50% occupancy and within u32 range.
-  const bool sparse =
-      nonzero * 2 < total &&
-      total <= std::numeric_limits<std::uint32_t>::max();
-  w.u8(sparse ? 1 : 0);
-  if (sparse) {
-    w.mark_section_sparse();
-    w.u64(nonzero);
-    for (std::size_t i = 0; i < total; ++i) {
-      if (cells[i].is_zero()) continue;
-      w.u32(static_cast<std::uint32_t>(i));
-      put_cells(w, cells.subspan(i, 1));
+    if constexpr (kLoading) {
+      std::fill(cells.begin(), cells.end(), OneSparseCell{});
+    } else {
+      s_->mark_section_sparse();
     }
-  } else {
-    put_cells(w, cells);
-  }
-  w.end_section();
-}
-
-void read_cells(Reader& r, std::span<OneSparseCell> cells) {
-  const std::uint64_t total = r.u64();
-  if (total != cells.size()) {
-    throw SerializeError("cell section covers " + std::to_string(total) +
-                         " cells but the destination stripe has " +
-                         std::to_string(cells.size()));
-  }
-  const std::uint8_t mode = r.u8();
-  if (mode == 0) {
-    get_cells(r, cells);
-  } else if (mode == 1) {
-    std::fill(cells.begin(), cells.end(), OneSparseCell{});
-    const std::uint64_t nonzero = r.u64();
-    if (nonzero > total) {
-      throw SerializeError("cell section claims more non-zero cells (" +
-                           std::to_string(nonzero) + ") than its total (" +
-                           std::to_string(total) + ")");
-    }
-    std::uint64_t prev = 0;
+    value(nonzero);
+    check(nonzero <= cells.size(),
+          "cell section claims more non-zero cells than its total");
+    std::size_t next = 0;  // save: where the scan for non-zero cells resumes
+    std::uint32_t prev = 0;
     for (std::uint64_t i = 0; i < nonzero; ++i) {
-      const std::uint32_t index = r.u32();
-      if (index >= total || (i > 0 && index <= prev)) {
-        throw SerializeError("cell section index " + std::to_string(index) +
-                             " out of order or out of range");
+      std::uint32_t index = 0;
+      if constexpr (!kLoading) {
+        while (cells[next].is_zero()) ++next;
+        index = static_cast<std::uint32_t>(next++);
       }
+      value(index);
+      check(index < cells.size() && (i == 0 || index > prev),
+            "cell section index out of order or out of range");
       prev = index;
-      get_cells(r, cells.subspan(index, 1));
+      rows(cells.subspan(index, 1));
     }
-  } else {
-    throw SerializeError("unknown cell section mode " + std::to_string(mode));
-  }
+  });
 }
 
-// ---- small aggregate helpers --------------------------------------------
-
-void put_graph(Writer& w, const Graph& g) {
-  w.u32(g.n());
-  w.u64(g.m());
-  for (const Edge& e : g.edges()) {
-    w.u32(e.u);
-    w.u32(e.v);
-    w.f64(e.weight);
-  }
-}
-
-Graph get_graph(Reader& r, std::uint32_t n) {
-  check_field(r.u32(), n, "graph vertex count");
-  const std::uint64_t m = r.u64();
-  if (m > r.remaining() / 16) {
-    throw SerializeError("graph edge count exceeds the remaining payload");
-  }
-  Graph g(n);
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const std::uint32_t u = r.u32();
-    const std::uint32_t v = r.u32();
-    const double weight = r.f64();
-    if (u >= n || v >= n || u == v) {
-      throw SerializeError("graph edge (" + std::to_string(u) + ", " +
-                           std::to_string(v) +
-                           ") is a self-loop or leaves [0, " +
-                           std::to_string(n) + ")");
+template <bool Loading>
+void Visitor<Loading>::processors(std::span<StreamProcessor* const> ps,
+                                  const char* label) {
+  for (StreamProcessor* p : ps) {
+    // A labelled item is one opaque stats row: its own sections and cell
+    // counts stay out of the enclosing payload's accounting.
+    SerializeStats outer;
+    if constexpr (!kLoading) {
+      if (label != nullptr) outer = std::exchange(s_->stats(), {});
     }
-    g.add_edge(u, v, weight);
-  }
-  return g;
-}
-
-void put_u32_vector(Writer& w, const std::vector<std::uint32_t>& v) {
-  w.u64(v.size());
-  for (const std::uint32_t x : v) w.u32(x);
-}
-
-void get_u32_vector(Reader& r, std::vector<std::uint32_t>& v) {
-  const std::uint64_t count = r.u64();
-  if (count > r.remaining() / 4) {
-    throw SerializeError("u32 vector longer than the remaining payload");
-  }
-  v.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) v[i] = r.u32();
-}
-
-void put_u64_vector(Writer& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (const std::uint64_t x : v) w.u64(x);
-}
-
-void get_u64_vector(Reader& r, std::vector<std::uint64_t>& v) {
-  const std::uint64_t count = r.u64();
-  if (count > r.remaining() / 8) {
-    throw SerializeError("u64 vector longer than the remaining payload");
-  }
-  v.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) v[i] = r.u64();
-}
-
-void check_f64_field(double stored, double live, const char* name) {
-  if (std::bit_cast<std::uint64_t>(stored) !=
-      std::bit_cast<std::uint64_t>(live)) {
-    throw SerializeError(std::string("stored ") + name +
-                         " does not match the destination object (stored " +
-                         std::to_string(stored) + ", live " +
-                         std::to_string(live) + ")");
+    std::uint32_t tag = kLoading ? 0 : tag_of(*p);
+    value(tag);
+    if (tag != p->serial_tag()) {
+      throw SerializeError("processor type mismatch: payload holds '" +
+                           tag_name(tag) + "', destination is '" +
+                           tag_name(p->serial_tag()) + "'");
+    }
+    // Length-framed, so a corrupt item cannot bleed into its successors.
+    if constexpr (kLoading) {
+      Reader sub = s_->sub(s_->template get<std::uint64_t>());
+      p->deserialize(sub);
+      sub.expect_end();
+    } else {
+      const std::size_t length_slot = s_->u64_slot();
+      p->serialize(*s_);
+      s_->patch_u64(length_slot, s_->buffer().size() - length_slot - 8);
+      if (label != nullptr) {
+        s_->stats() = std::move(outer);
+        // The item began with its u32 tag, just before the length slot.
+        s_->stats().sections.push_back(
+            {label, s_->buffer().size() - (length_slot - 4), false});
+      }
+    }
   }
 }
+
+template class Visitor<false>;
+template class Visitor<true>;
 
 // ---- envelope -----------------------------------------------------------
 
@@ -193,25 +116,58 @@ namespace detail {
 
 namespace {
 
-void store_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+constexpr std::size_t kHeaderBytes = 20;
+constexpr std::size_t kTrailerBytes = 4;
+
+template <class T>
+void store_le(unsigned char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<unsigned char>(v >> (8 * i));
+  }
 }
 
-void store_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+// Checks magic, version and tag; returns the declared payload length.
+[[nodiscard]] std::uint64_t check_header(const unsigned char* header,
+                                         std::uint32_t expected_tag) {
+  Reader h(header, kHeaderBytes);
+  if (h.get<std::uint32_t>() != kMagic) {
+    throw SerializeError("bad magic (not a KWSK sketch file)");
+  }
+  const auto version = h.get<std::uint32_t>();
+  if (version != kFormatVersion) {
+    throw SerializeError("unsupported format version " +
+                         std::to_string(version) + " (this build reads " +
+                         std::to_string(kFormatVersion) + ")");
+  }
+  const auto tag = h.get<std::uint32_t>();
+  if (tag != expected_tag) {
+    throw SerializeError("type tag mismatch: file holds '" + tag_name(tag) +
+                         "', expected '" + tag_name(expected_tag) + "'");
+  }
+  return h.get<std::uint64_t>();
 }
 
-[[nodiscard]] std::uint32_t parse_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-[[nodiscard]] std::uint64_t parse_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
+// Hands header, payload and trailer to `put` in order.  Fault site
+// serialize.write.short: half the envelope lands, then the sink gives out.
+template <class Put>
+void emit_envelope(std::uint32_t tag, const Writer& w, SerializeStats* stats,
+                   Put&& put) {
+  const std::vector<unsigned char>& payload = w.buffer();
+  const EnvelopeFrame frame = frame_envelope(tag, payload);
+  if (fault::fire(fault::site::kSerializeWriteShort)) {
+    put(frame.header.data(), frame.header.size());
+    put(payload.data(), payload.size() / 2);
+    throw SerializeError("write to output stream failed (injected short "
+                         "write)");
+  }
+  put(frame.header.data(), frame.header.size());
+  put(payload.data(), payload.size());
+  put(frame.trailer.data(), frame.trailer.size());
+  if (stats != nullptr) {
+    *stats = w.stats();
+    stats->payload_bytes = payload.size();
+    stats->total_bytes = kHeaderBytes + payload.size() + kTrailerBytes;
+  }
 }
 
 }  // namespace
@@ -222,153 +178,146 @@ EnvelopeFrame frame_envelope(std::uint32_t tag,
     throw SerializeError("injected ENOSPC: no space left on device");
   }
   EnvelopeFrame frame;
-  store_u32(frame.header.data(), kMagic);
-  store_u32(frame.header.data() + 4, kFormatVersion);
-  store_u32(frame.header.data() + 8, tag);
-  store_u64(frame.header.data() + 12, payload.size());
+  store_le(frame.header.data(), kMagic);
+  store_le(frame.header.data() + 4, kFormatVersion);
+  store_le(frame.header.data() + 8, tag);
+  store_le(frame.header.data() + 12, std::uint64_t{payload.size()});
   std::uint32_t crc = crc32(frame.header.data(), frame.header.size());
-  crc = crc32(payload.data(), payload.size(), crc);
-  store_u32(frame.trailer.data(), crc);
+  store_le(frame.trailer.data(), crc32(payload.data(), payload.size(), crc));
   return frame;
 }
 
-void write_envelope(std::ostream& os, std::uint32_t tag,
-                    const std::vector<unsigned char>& payload,
+void write_envelope(std::ostream& os, std::uint32_t tag, const Writer& w,
                     SerializeStats* stats) {
-  const EnvelopeFrame frame = frame_envelope(tag, payload);
-  const auto put = [&os](const unsigned char* data, std::size_t len) {
-    os.write(reinterpret_cast<const char*>(data),
-             static_cast<std::streamsize>(len));
-  };
-  if (fault::fire(fault::site::kSerializeWriteShort)) {
-    // Short write: half the envelope lands, then the device gives out.  The
-    // truncated bytes stay in the stream -- readers must reject them.
-    put(frame.header.data(), frame.header.size());
-    put(payload.data(), payload.size() / 2);
-    os.flush();
-    os.setstate(std::ios::failbit);
-    throw SerializeError("write to output stream failed (injected short "
-                         "write)");
-  }
-  put(frame.header.data(), frame.header.size());
-  put(payload.data(), payload.size());
-  put(frame.trailer.data(), frame.trailer.size());
+  // On failure whatever landed stays in the stream; readers reject it.
+  emit_envelope(tag, w, stats,
+                [&os](const unsigned char* data, std::size_t len) {
+                  os.write(reinterpret_cast<const char*>(data),
+                           static_cast<std::streamsize>(len));
+                });
   if (!os) throw SerializeError("write to output stream failed");
-  if (stats != nullptr) {
-    stats->payload_bytes = payload.size();
-    stats->total_bytes =
-        frame.header.size() + payload.size() + frame.trailer.size();
-  }
 }
 
-std::vector<unsigned char> read_envelope(std::istream& is,
-                                         std::uint32_t expected_tag) {
-  unsigned char header[20];
+std::string envelope_bytes(std::uint32_t tag, const Writer& w,
+                           SerializeStats* stats) {
+  std::string out;
+  out.reserve(kHeaderBytes + w.buffer().size() + kTrailerBytes);
+  emit_envelope(tag, w, stats,
+                [&out](const unsigned char* data, std::size_t len) {
+                  out.append(reinterpret_cast<const char*>(data), len);
+                });
+  return out;
+}
+
+Reader open_envelope(std::span<const unsigned char> bytes,
+                     std::uint32_t expected_tag) {
+  if (bytes.size() < kHeaderBytes) {
+    throw SerializeError("truncated input: envelope header incomplete");
+  }
+  const std::uint64_t len = check_header(bytes.data(), expected_tag);
+  if (len > bytes.size() - kHeaderBytes) {
+    throw SerializeError("truncated input: payload shorter than its "
+                         "declared length");
+  }
+  if (bytes.size() - kHeaderBytes - len < kTrailerBytes) {
+    throw SerializeError("truncated input: CRC trailer missing");
+  }
+  const std::span<const unsigned char> payload =
+      bytes.subspan(kHeaderBytes, len);
+  std::uint32_t crc = crc32(bytes.data(), kHeaderBytes);
+  if (fault::fire(fault::site::kSerializeReadBitflip) && !payload.empty()) {
+    // Deterministic single-bit corruption of the payload as read, at a
+    // position that walks the payload across triggers.  A single flipped
+    // byte is a burst of <= 8 bits, so CRC-32 detects it with certainty --
+    // the check below MUST throw.
+    const std::uint64_t t = fault::triggers(fault::site::kSerializeReadBitflip);
+    const std::size_t at = (t * 8191) % payload.size();
+    const unsigned char flipped = payload[at] ^ 0x04;
+    crc = crc32(payload.data(), at, crc);
+    crc = crc32(&flipped, 1, crc);
+    crc = crc32(payload.data() + at + 1, payload.size() - at - 1, crc);
+  } else {
+    crc = crc32(payload.data(), payload.size(), crc);
+  }
+  if (crc != Reader(payload.data() + len, kTrailerBytes).get<std::uint32_t>()) {
+    throw SerializeError("CRC mismatch: file is corrupt");
+  }
+  return Reader(payload.data(), payload.size());
+}
+
+Reader read_envelope(std::istream& is, std::uint32_t expected_tag,
+                     std::vector<unsigned char>& storage) {
+  unsigned char header[kHeaderBytes];
   is.read(reinterpret_cast<char*>(header), sizeof(header));
   if (is.gcount() != static_cast<std::streamsize>(sizeof(header))) {
     throw SerializeError("truncated input: envelope header incomplete");
   }
-  const std::uint32_t magic = parse_u32(header);
-  if (magic != kMagic) {
-    throw SerializeError("bad magic (not a KWSK sketch file)");
+  // A wrong file is rejected before anything is sized from its length.
+  const std::uint64_t len = check_header(header, expected_tag);
+  const auto truncated = [] {
+    return SerializeError("truncated input: envelope shorter than its "
+                          "declared length");
+  };
+  // The rest of the envelope; a length that wraps this sum reads short and
+  // fails open_envelope's length check.
+  const std::uint64_t rest = len + kTrailerBytes;
+  // A stream that can report its bytes left bounds the declared length by
+  // them before anything is allocated, then takes one exact-size read.
+  // Otherwise the read goes in bounded chunks, so a corrupt length cannot
+  // trigger one giant allocation.
+  std::uint64_t chunk = 1 << 20;
+  std::streambuf& buf = *is.rdbuf();
+  const std::streampos here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+  const std::streampos end =
+      here == std::streampos(-1)
+          ? here
+          : buf.pubseekoff(0, std::ios::end, std::ios::in);
+  if (end != std::streampos(-1)) {
+    buf.pubseekpos(here, std::ios::in);
+    if (rest > static_cast<std::uint64_t>(end - here)) throw truncated();
+    chunk = rest;
   }
-  const std::uint32_t version = parse_u32(header + 4);
-  if (version != kFormatVersion) {
-    throw SerializeError("unsupported format version " +
-                         std::to_string(version) + " (this build reads " +
-                         std::to_string(kFormatVersion) + ")");
-  }
-  const std::uint32_t tag = parse_u32(header + 8);
-  if (tag != expected_tag) {
-    throw SerializeError("type tag mismatch: file holds '" + tag_name(tag) +
-                         "', expected '" + tag_name(expected_tag) + "'");
-  }
-  const std::uint64_t payload_len = parse_u64(header + 12);
-  std::vector<unsigned char> payload;
-  // Read in bounded chunks so a corrupt length field cannot trigger one
-  // giant allocation before truncation is detected.
-  constexpr std::uint64_t kChunk = 1 << 20;
-  std::uint64_t got = 0;
-  while (got < payload_len) {
-    const std::uint64_t want = std::min(kChunk, payload_len - got);
-    payload.resize(got + want);
-    is.read(reinterpret_cast<char*>(payload.data() + got),
+  storage.assign(header, header + kHeaderBytes);
+  for (std::uint64_t got = 0; got < rest;) {
+    const std::uint64_t want = std::min(chunk, rest - got);
+    storage.resize(kHeaderBytes + got + want);
+    is.read(reinterpret_cast<char*>(storage.data() + kHeaderBytes + got),
             static_cast<std::streamsize>(want));
-    if (is.gcount() != static_cast<std::streamsize>(want)) {
-      throw SerializeError("truncated input: payload shorter than its "
-                           "declared length");
-    }
+    if (is.gcount() != static_cast<std::streamsize>(want)) throw truncated();
     got += want;
   }
-  if (fault::fire(fault::site::kSerializeReadBitflip) && !payload.empty()) {
-    // Deterministic single-bit corruption between the read and the CRC
-    // check, at a position that walks the payload across triggers.  A
-    // single flipped byte is a burst of <= 8 bits, so CRC-32 detects it
-    // with certainty -- the check below MUST throw.
-    const std::uint64_t t = fault::triggers(fault::site::kSerializeReadBitflip);
-    payload[(t * 8191) % payload.size()] ^= 0x04;
-  }
-  unsigned char crc_bytes[4];
-  is.read(reinterpret_cast<char*>(crc_bytes), 4);
-  if (is.gcount() != 4) {
-    throw SerializeError("truncated input: CRC trailer missing");
-  }
-  const std::uint32_t stored_crc = parse_u32(crc_bytes);
-  std::uint32_t crc = crc32(header, sizeof(header));
-  crc = crc32(payload.data(), payload.size(), crc);
-  if (crc != stored_crc) {
-    throw SerializeError("CRC mismatch: file is corrupt");
-  }
-  return payload;
+  return open_envelope(storage, expected_tag);
 }
 
 }  // namespace detail
 
-// ---- processor entry points ---------------------------------------------
+// ---- distributed merge --------------------------------------------------
 
 namespace {
 
-[[nodiscard]] std::uint32_t require_tag(const StreamProcessor& p) {
-  const std::uint32_t tag = p.serial_tag();
-  if (tag == 0) {
-    throw SerializeError("this StreamProcessor type is not serializable");
+// Loads one shard's payload into a fresh clone_empty() of `target` and
+// folds it in via the merge() contract.
+void merge_payload(Reader r, StreamProcessor& target) {
+  std::unique_ptr<StreamProcessor> shard = target.clone_empty();
+  if (shard == nullptr) {
+    throw SerializeError(
+        "merge: target cannot clone_empty() at its current pass");
   }
-  return tag;
+  detail::load_payload(r, *shard);
+  target.merge(std::move(*shard));
 }
 
 }  // namespace
 
-void save(std::ostream& os, const StreamProcessor& processor,
-          SerializeStats* stats) {
-  Writer w;
-  processor.serialize(w);
-  detail::write_envelope(os, require_tag(processor), w.buffer(),
-                         stats ? &w.stats() : nullptr);
-  if (stats != nullptr) *stats = w.stats();
-}
-
-void load(std::istream& is, StreamProcessor& processor) {
-  const std::vector<unsigned char> payload =
-      detail::read_envelope(is, require_tag(processor));
-  Reader r(payload.data(), payload.size());
-  processor.deserialize(r);
-  r.expect_end();
-}
-
 void merge_from_stream(std::istream& is, StreamProcessor& target) {
-  std::unique_ptr<StreamProcessor> shard = target.clone_empty();
-  if (shard == nullptr) {
-    throw SerializeError(
-        "merge_from_stream: target cannot clone_empty() at its current "
-        "pass");
-  }
-  load(is, *shard);
-  target.merge(std::move(*shard));
+  std::vector<unsigned char> storage;
+  merge_payload(detail::read_envelope(is, tag_of(target), storage), target);
 }
 
 void merge_from_bytes(std::string_view bytes, StreamProcessor& target) {
-  std::istringstream is(std::string(bytes), std::ios::binary);
-  merge_from_stream(is, target);
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  merge_payload(detail::open_envelope({data, bytes.size()}, tag_of(target)),
+                target);
 }
 
 }  // namespace kw::ser

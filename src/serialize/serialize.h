@@ -7,12 +7,15 @@
 ///   4       4     format version (currently 2)
 ///   8       4     type tag (fourcc of the serialized type, e.g. 'BKGR')
 ///   12      8     payload length in bytes
-///   20      len   payload (type-specific, parsed by Reader)
+///   20      len   payload (type-specific: the type's fields() list)
 ///   20+len  4     CRC-32 of bytes [0, 20+len)  (zlib polynomial)
 ///
-/// The payload is fully read into memory and CRC-verified BEFORE any
-/// parsing, and every Reader access is bounds-checked, so corrupt input
-/// raises SerializeError instead of undefined behavior.
+/// The payload is CRC-verified BEFORE any parsing -- in place for bytes
+/// already in memory, after one read for a stream -- and every Reader
+/// access is bounds-checked, so corrupt input raises SerializeError instead
+/// of undefined behavior.  Each type states its payload layout once, in a
+/// `fields()` member that the Saver and Loader visitors (binary_io.h) walk
+/// in both directions.
 ///
 /// Payloads store only what cannot be re-derived: configuration + seeds +
 /// geometry (written for validation against the live object) and the
@@ -29,29 +32,15 @@
 #include <istream>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "serialize/binary_io.h"
-#include "sketch/fingerprint.h"
 
 namespace kw {
 
 class StreamProcessor;
-class Graph;
-class BankGroup;
-class SparseRecoverySketch;
-class DistinctElementsSketch;
-class AgmGraphSketch;
-class TwoPassSpanner;
-class SpanningForestProcessor;
-class KConnectivitySketch;
-class Kp12Sparsifier;
-class MultipassSpanner;
-class AdditiveSpannerSketch;
-class DemuxProcessor;
 
 namespace ser {
 
@@ -86,92 +75,38 @@ constexpr std::uint32_t kTagCheckpoint = fourcc('C', 'K', 'P', 'T');
 
 [[nodiscard]] std::string tag_name(std::uint32_t tag);
 
-// Compile-time type -> tag map for the template save/load entry points.
-// Specialized next to each type's serialize implementation declaration.
-template <class T>
-struct SerialTag;  // no default: unserializable types fail to compile
-
-template <class T>
-concept Serializable = requires { SerialTag<T>::value; };
-
-// clang-format off
-template <> struct SerialTag<BankGroup> { static constexpr std::uint32_t value = kTagBankGroup; };
-template <> struct SerialTag<SparseRecoverySketch> { static constexpr std::uint32_t value = kTagSparseRecovery; };
-template <> struct SerialTag<DistinctElementsSketch> { static constexpr std::uint32_t value = kTagDistinctElements; };
-template <> struct SerialTag<AgmGraphSketch> { static constexpr std::uint32_t value = kTagAgmSketch; };
-template <> struct SerialTag<TwoPassSpanner> { static constexpr std::uint32_t value = kTagTwoPassSpanner; };
-template <> struct SerialTag<SpanningForestProcessor> { static constexpr std::uint32_t value = kTagSpanningForest; };
-template <> struct SerialTag<KConnectivitySketch> { static constexpr std::uint32_t value = kTagKConnectivity; };
-template <> struct SerialTag<Kp12Sparsifier> { static constexpr std::uint32_t value = kTagKp12; };
-template <> struct SerialTag<MultipassSpanner> { static constexpr std::uint32_t value = kTagMultipass; };
-template <> struct SerialTag<AdditiveSpannerSketch> { static constexpr std::uint32_t value = kTagAdditive; };
-template <> struct SerialTag<DemuxProcessor> { static constexpr std::uint32_t value = kTagDemux; };
-// clang-format on
+// Defines Type::serialize() and Type::deserialize() as the two walks of
+// Type::fields(), next to the fields() definition; the tagged form also
+// defines serial_tag(), the tag of Type's envelope.
+#define KW_SERIALIZE_FIELDS(Type)                   \
+  void Type::serialize(ser::Writer& w) const {      \
+    ser::Saver(w).walk(*this);                      \
+  }                                                 \
+  void Type::deserialize(ser::Reader& r) { ser::Loader(r).walk(*this); }
+#define KW_SERIALIZE_TAGGED(Type, tag)                                 \
+  std::uint32_t Type::serial_tag() const noexcept { return (tag); }    \
+  KW_SERIALIZE_FIELDS(Type)
 
 // ---- cell sections ------------------------------------------------------
 //
 // The unit of sketch state is the 32-byte OneSparseCell.  A cell section
-// stores a fixed-geometry run of cells either densely (raw cells) or
-// sparsely (count + per-cell u32 index + cell), picking sparse exactly when
-// fewer than half the cells are non-zero.  Layout:
+// (the visitors' cells()) stores a fixed-geometry run of cells either
+// densely (raw cells) or sparsely (count + per-cell u32 index + cell),
+// picking sparse exactly when fewer than half the cells are non-zero.
+// Layout:
 //
 //   u64  total cell count   (validated against the destination geometry)
 //   u8   mode: 0 = dense, 1 = sparse
-//   mode 0: total * 32 raw cell bytes
+//   mode 0: total * 32 raw cell bytes (the visitors' rows())
 //   mode 1: u64 nonzero count; per nonzero cell: u32 index + 32 cell bytes
 //
 // Sections longer than 2^32 cells always use dense mode (indices are u32).
-void write_cells(Writer& w, std::span<const OneSparseCell> cells,
-                 const char* label);
-void read_cells(Reader& r, std::span<OneSparseCell> cells);
-
-// A run of raw cells, 32 bytes each (count, coord_sum, fp1, fp2), with no
-// header: the dense body of a cell section and the kv bank rows.  On
-// little-endian hosts this is one bulk copy of the run's memory image.
-void put_cells(Writer& w, std::span<const OneSparseCell> cells);
-void get_cells(Reader& r, std::span<OneSparseCell> cells);
-
-// ---- small aggregate helpers --------------------------------------------
-
-void put_graph(Writer& w, const Graph& g);
-// Rejects a stored vertex count other than `n`, endpoints >= n and
-// self-loops, all as SerializeError.
-[[nodiscard]] Graph get_graph(Reader& r, std::uint32_t n);
-
-// A one-group BankGroup behind a 3-u64 header (max_coord, instances, seed):
-// the per-vertex L0 banks of AdditiveSpannerSketch and MultipassSpanner.
-// The reader validates the header against the live bank, then loads the
-// BankGroup payload.
-void put_single_bank(Writer& w, const BankGroup& bank);
-void get_single_bank(Reader& r, BankGroup& bank);
-
-void put_u32_vector(Writer& w, const std::vector<std::uint32_t>& v);
-void get_u32_vector(Reader& r, std::vector<std::uint32_t>& v);
-void put_u64_vector(Writer& w, const std::vector<std::uint64_t>& v);
-void get_u64_vector(Reader& r, std::vector<std::uint64_t>& v);
-
-// Geometry/config validation helper: most deserializers call this per
-// stored field to compare against the live object's constructor-derived
-// value.
-template <typename A, typename B>
-void check_field(A stored, B live, const char* name) {
-  if (stored != static_cast<A>(live)) {
-    throw SerializeError(std::string("stored ") + name +
-                         " does not match the destination object (stored " +
-                         std::to_string(stored) + ", live " +
-                         std::to_string(static_cast<A>(live)) + ")");
-  }
-}
-// Doubles are configuration constants, never computed: compare bitwise.
-void check_f64_field(double stored, double live, const char* name);
 
 namespace detail {
 
-// The framing around one payload: the 20-byte header and the CRC-32
-// trailer over header + payload.  The only writer of the header layout;
-// write_envelope() and the engine's checkpoint writer both frame through
-// it.  Fault site serialize.write.enospc fires here, before any byte is
-// written.
+// The 20-byte header and the CRC-32 trailer around one payload: the only
+// writer of the header layout (save(), save_to_bytes() and the engine's
+// checkpoint writer).  Fault site serialize.write.enospc fires here.
 struct EnvelopeFrame {
   std::array<unsigned char, 20> header;
   std::array<unsigned char, 4> trailer;
@@ -179,58 +114,76 @@ struct EnvelopeFrame {
 [[nodiscard]] EnvelopeFrame frame_envelope(
     std::uint32_t tag, std::span<const unsigned char> payload);
 
-void write_envelope(std::ostream& os, std::uint32_t tag,
-                    const std::vector<unsigned char>& payload,
+// Frames w's payload to `os`, or into a returned string.  `stats`, when
+// non-null, receives w's section accounting plus the envelope sizes.
+void write_envelope(std::ostream& os, std::uint32_t tag, const Writer& w,
                     SerializeStats* stats);
-// Reads + CRC-verifies one envelope; returns the payload bytes.
-[[nodiscard]] std::vector<unsigned char> read_envelope(std::istream& is,
-                                                       std::uint32_t
-                                                           expected_tag);
+[[nodiscard]] std::string envelope_bytes(std::uint32_t tag, const Writer& w,
+                                         SerializeStats* stats);
 
-}  // namespace detail
+// Checks magic, version, tag, declared length and CRC of one in-memory
+// envelope and returns a Reader over its payload, in place; bytes after the
+// trailer are ignored.  Fault site serialize.read.bitflip fires here.
+[[nodiscard]] Reader open_envelope(std::span<const unsigned char> bytes,
+                                   std::uint32_t expected_tag);
+// Reads one envelope from `is` into `storage` -- one allocation sized by
+// the header, after its length is checked against the bytes the stream has
+// left -- and opens it.
+[[nodiscard]] Reader read_envelope(std::istream& is,
+                                   std::uint32_t expected_tag,
+                                   std::vector<unsigned char>& storage);
 
-// ---- entry points -------------------------------------------------------
-
-// Serializes `obj` (framed + CRC'd) to `os`.  `stats`, when non-null,
-// receives the per-section byte accounting.
-template <Serializable T>
-void save(std::ostream& os, const T& obj, SerializeStats* stats = nullptr) {
-  Writer w;
-  obj.serialize(w);
-  detail::write_envelope(os, SerialTag<T>::value, w.buffer(),
-                         stats ? &w.stats() : nullptr);
-  if (stats != nullptr) *stats = w.stats();
-}
-
-// Loads state saved by save() into `obj`, which must have been constructed
-// with the same configuration (seeds, geometry) as the saved object.
-template <Serializable T>
-void load(std::istream& is, T& obj) {
-  const std::vector<unsigned char> payload =
-      detail::read_envelope(is, SerialTag<T>::value);
-  Reader r(payload.data(), payload.size());
+template <class T>
+void load_payload(Reader r, T& obj) {
   obj.deserialize(r);
   r.expect_end();
 }
 
-// Runtime-dispatched variants for processors held by base reference: the
-// tag comes from StreamProcessor::serial_tag().
-void save(std::ostream& os, const StreamProcessor& processor,
-          SerializeStats* stats = nullptr);
-void load(std::istream& is, StreamProcessor& processor);
+}  // namespace detail
+
+// ---- entry points -------------------------------------------------------
+//
+// T is any type with serialize(), deserialize() and serial_tag() -- a
+// sketch, or a stream processor, possibly held by base reference.
+
+template <class T>
+[[nodiscard]] std::uint32_t tag_of(const T& obj) {
+  if (obj.serial_tag() == 0) {
+    throw SerializeError("this StreamProcessor type is not serializable");
+  }
+  return obj.serial_tag();
+}
+
+// Serializes `obj` (framed + CRC'd) to `os`.  `stats`, when non-null,
+// receives the per-section byte accounting.
+template <class T>
+void save(std::ostream& os, const T& obj, SerializeStats* stats = nullptr) {
+  Writer w;
+  obj.serialize(w);
+  detail::write_envelope(os, tag_of(obj), w, stats);
+}
+
+// Loads state saved by save() into `obj`, which must have been constructed
+// with the same configuration (seeds, geometry) as the saved object.
+template <class T>
+void load(std::istream& is, T& obj) {
+  std::vector<unsigned char> storage;
+  detail::load_payload(detail::read_envelope(is, tag_of(obj), storage), obj);
+}
 
 template <class T>
 [[nodiscard]] std::string save_to_bytes(const T& obj,
                                         SerializeStats* stats = nullptr) {
-  std::ostringstream os(std::ios::binary);
-  save(os, obj, stats);
-  return std::move(os).str();
+  Writer w;
+  obj.serialize(w);
+  return detail::envelope_bytes(tag_of(obj), w, stats);
 }
 
 template <class T>
 void load_from_bytes(std::string_view bytes, T& obj) {
-  std::istringstream is(std::string(bytes), std::ios::binary);
-  load(is, obj);
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  detail::load_payload(
+      detail::open_envelope({data, bytes.size()}, tag_of(obj)), obj);
 }
 
 // ---- distributed merge --------------------------------------------------

@@ -1,281 +1,87 @@
-// serialize()/deserialize() members of the sketch layer: BankGroup (and
-// its one-group framing), SparseRecoverySketch, DistinctElementsSketch,
-// KvTableBank state, AgmGraphSketch.
+// Wire schemas of the sketch layer: BankGroup, SparseRecoverySketch,
+// DistinctElementsSketch, AgmGraphSketch.
 //
-// Each payload starts with the object's configuration/geometry, which
-// deserialize() VALIDATES against the live (identically constructed)
-// destination rather than loads -- hash coefficients and fingerprint power
-// tables are rebuilt from seeds by the constructors and never serialized.
-#include <algorithm>
-#include <utility>
+// Each payload starts with the object's configuration/geometry, which the
+// loader VALIDATES against the live (identically constructed) destination
+// rather than loads -- hash coefficients and fingerprint power tables are
+// rebuilt from seeds by the constructors and never serialized.
 #include <vector>
 
 #include "agm/neighborhood_sketch.h"
 #include "serialize/serialize.h"
 #include "sketch/bank_group.h"
 #include "sketch/distinct_elements.h"
-#include "sketch/linear_kv_sketch.h"
 #include "sketch/sparse_recovery.h"
 
 namespace kw {
 
 // ---- BankGroup ----------------------------------------------------------
 
-void BankGroup::serialize(ser::Writer& w) const {
-  w.begin_section("bank_group.header");
-  w.u64(max_coord_);
-  w.u64(instances_);
-  w.u64(groups_);
-  w.u64(vertices_);
-  w.u64(levels_);
-  w.u64(seeds_.size());
-  for (const std::uint64_t s : seeds_) w.u64(s);
-  w.end_section();
-  ser::write_cells(w, {cells_.data(), cells_.size()}, "bank_group.cells");
+template <class V>
+void BankGroup::fields(V& v) {
+  v.section("bank_group.header", [&] {
+    v.same(max_coord_, "BankGroup max_coord");
+    v.same(instances_, "BankGroup instances");
+    v.same(groups_, "BankGroup groups");
+    v.same(vertices_, "BankGroup vertices");
+    v.same(levels_, "BankGroup levels");
+    v.same(seeds_, "BankGroup seeds");
+  });
+  v.cells(cells_, "bank_group.cells");
 }
 
-void BankGroup::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), max_coord_, "BankGroup max_coord");
-  ser::check_field(r.u64(), instances_, "BankGroup instances");
-  ser::check_field(r.u64(), groups_, "BankGroup groups");
-  ser::check_field(r.u64(), vertices_, "BankGroup vertices");
-  ser::check_field(r.u64(), levels_, "BankGroup levels");
-  ser::check_field(r.u64(), seeds_.size(), "BankGroup seed count");
-  for (const std::uint64_t s : seeds_) {
-    ser::check_field(r.u64(), s, "BankGroup seed");
-  }
-  ser::read_cells(r, {cells_.data(), cells_.size()});
-}
-
-// ---- one-group banks ----------------------------------------------------
-
-namespace ser {
-
-void put_single_bank(Writer& w, const BankGroup& bank) {
-  w.begin_section("single_bank.header");
-  w.u64(bank.max_coord());
-  w.u64(bank.instances());
-  w.u64(bank.seeds().at(0));
-  w.end_section();
-  bank.serialize(w);
-}
-
-void get_single_bank(Reader& r, BankGroup& bank) {
-  check_field(r.u64(), bank.max_coord(), "L0 bank max_coord");
-  check_field(r.u64(), bank.instances(), "L0 bank instances");
-  check_field(r.u64(), bank.seeds().at(0), "L0 bank seed");
-  bank.deserialize(r);
-}
-
-}  // namespace ser
+KW_SERIALIZE_TAGGED(BankGroup, ser::kTagBankGroup)
 
 // ---- SparseRecoverySketch -----------------------------------------------
 
-void SparseRecoverySketch::serialize(ser::Writer& w) const {
-  w.begin_section("sparse_recovery.header");
-  w.u64(config_.max_coord);
-  w.u64(config_.budget);
-  w.u64(config_.rows);
-  w.u64(config_.seed);
-  w.u8(config_.full_pow_tables ? 1 : 0);
-  w.end_section();
-  ser::write_cells(w, {cells_.data(), cells_.size()},
-                   "sparse_recovery.cells");
+template <class V>
+void SparseRecoverySketch::fields(V& v) {
+  v.section("sparse_recovery.header", [&] {
+    v.same(config_.max_coord, "SparseRecovery max_coord");
+    v.same(config_.budget, "SparseRecovery budget");
+    v.same(config_.rows, "SparseRecovery rows");
+    v.same(config_.seed, "SparseRecovery seed");
+    v.same(config_.full_pow_tables, "SparseRecovery full_pow_tables");
+  });
+  v.cells(cells_, "sparse_recovery.cells");
 }
 
-void SparseRecoverySketch::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), config_.max_coord, "SparseRecovery max_coord");
-  ser::check_field(r.u64(), config_.budget, "SparseRecovery budget");
-  ser::check_field(r.u64(), config_.rows, "SparseRecovery rows");
-  ser::check_field(r.u64(), config_.seed, "SparseRecovery seed");
-  ser::check_field(r.u8(), config_.full_pow_tables ? 1 : 0,
-                   "SparseRecovery full_pow_tables");
-  ser::read_cells(r, {cells_.data(), cells_.size()});
-}
+KW_SERIALIZE_TAGGED(SparseRecoverySketch, ser::kTagSparseRecovery)
 
 // ---- DistinctElementsSketch ---------------------------------------------
 
-void DistinctElementsSketch::serialize(ser::Writer& w) const {
-  w.begin_section("distinct_elements.header");
-  w.u64(config_.max_coord);
-  w.f64(config_.epsilon);
-  w.u64(config_.repetitions);
-  w.u64(config_.seed);
-  w.end_section();
-  w.begin_section("distinct_elements.fingerprints");
-  for (const std::vector<std::uint64_t>& rep : fingerprints_) {
-    ser::put_u64_vector(w, rep);
-  }
-  w.end_section();
-}
-
-void DistinctElementsSketch::deserialize(ser::Reader& r) {
-  ser::check_field(r.u64(), config_.max_coord,
-                   "DistinctElements max_coord");
-  ser::check_f64_field(r.f64(), config_.epsilon, "DistinctElements epsilon");
-  ser::check_field(r.u64(), config_.repetitions,
-                   "DistinctElements repetitions");
-  ser::check_field(r.u64(), config_.seed, "DistinctElements seed");
-  for (std::vector<std::uint64_t>& rep : fingerprints_) {
-    const std::size_t expected = rep.size();
-    ser::get_u64_vector(r, rep);
-    ser::check_field(rep.size(), expected,
-                     "DistinctElements fingerprint run length");
-  }
-}
-
-// ---- KvTableBank --------------------------------------------------------
-
-void KvTableBank::serialize_state(ser::Writer& w) const {
-  w.begin_section("kv_bank.state");
-  // entries_ is insertion-ordered (update arrival); sort by slot id so
-  // save -> load -> save is byte-identical regardless of update order.
-  std::vector<std::uint32_t> order(entries_.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return entries_[a].slot_id < entries_[b].slot_id;
-            });
-  w.u64(entries_.size());
-  w.u64(levels_);
-  w.u64(cell_stride_);
-  for (const std::uint32_t i : order) {
-    const Entry& e = entries_[i];
-    w.u64(e.slot_id);
-    w.u64(e.rows);  // touched levels 0..jcap
-    // Rows are the in-memory LEVEL DIFFS (level j's value is the suffix sum
-    // of rows >= j); readers get the same representation back, so merge /
-    // decode semantics round-trip unchanged.  The arena block layout is a
-    // memory detail: the wire carries the same dense row stream the
-    // historical per-entry vectors produced.
-    ser::put_cells(w, {cells_of(e), std::size_t{e.rows} * cell_stride_});
-  }
-  w.end_section();
-}
-
-void KvTableBank::deserialize_state(ser::Reader& r) {
-  const std::uint64_t count = r.u64();
-  ser::check_field(r.u64(), levels_, "KvTableBank levels");
-  ser::check_field(r.u64(), cell_stride_, "KvTableBank cell stride");
-  const std::uint64_t slot_limit = config().tables * cells_per_table_;
-  // Bound the entry count before reserving for it: slot ids are distinct
-  // and below slot_limit, and every entry carries a slot id, a row count
-  // and at least one row of cell_stride_ 32-byte cells.
-  constexpr std::uint64_t kCellBytes = 4 * 8;
-  if (count > slot_limit ||
-      count > r.remaining() / (2 * 8 + cell_stride_ * kCellBytes)) {
-    throw ser::SerializeError("KvTableBank entry count exceeds the payload");
-  }
-  entries_.clear();
-  ht_slot_.clear();
-  ht_index_.clear();
-  arena_.reset();
-  entries_.reserve(count);
-  std::uint64_t prev_slot = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Entry e;
-    e.slot_id = r.u64();
-    if (e.slot_id >= slot_limit || (i > 0 && e.slot_id <= prev_slot)) {
-      throw ser::SerializeError(
-          "KvTableBank slot id out of order or out of range");
+template <class V>
+void DistinctElementsSketch::fields(V& v) {
+  v.section("distinct_elements.header", [&] {
+    v.same(config_.max_coord, "DistinctElements max_coord");
+    v.same(config_.epsilon, "DistinctElements epsilon");
+    v.same(config_.repetitions, "DistinctElements repetitions");
+    v.same(config_.seed, "DistinctElements seed");
+  });
+  v.section("distinct_elements.fingerprints", [&] {
+    for (std::vector<std::uint64_t>& rep : fingerprints_) {
+      v.same(std::uint64_t{rep.size()},
+             "DistinctElements fingerprint run length");
+      for (std::uint64_t& fp : rep) v.value(fp);
     }
-    prev_slot = e.slot_id;
-    const std::uint64_t touched_levels = r.u64();
-    if (touched_levels == 0 || touched_levels > levels_) {
-      throw ser::SerializeError("KvTableBank touched level count invalid");
-    }
-    e.rows = static_cast<std::uint32_t>(touched_levels);
-    e.cap = e.rows;  // exact-size block: a bulk load never regrows
-    const std::size_t cells = std::size_t{e.rows} * cell_stride_;
-    e.block = arena_.allocate(cells);
-    ser::get_cells(r, {arena_.data(e.block), cells});
-    entries_.push_back(e);
-  }
-  // One rebuild at the final size (grow_table sizes off entries_.size()).
-  if (!entries_.empty()) grow_table();
+  });
 }
 
-void KvTableBank::serialize_flat_state(ser::Writer& w) const {
-  if (levels_ != 1) {
-    throw ser::SerializeError("KvTableBank: flat state needs one level");
-  }
-  // The bank keeps blocks that cancelled to zero; the flat layout lists
-  // nonzero slots only, in slot order, as an erase-at-zero map would.
-  std::vector<std::pair<std::uint64_t, const OneSparseCell*>> live;
-  for (const Entry& e : entries_) {
-    const OneSparseCell* cells = cells_of(e);
-    if (std::any_of(cells, cells + cell_stride_,
-                    [](const OneSparseCell& c) { return !c.is_zero(); })) {
-      live.emplace_back(e.slot_id, cells);
-    }
-  }
-  std::sort(live.begin(), live.end());
-  w.begin_section("kv_bank.flat_state");
-  w.u64(live.size());
-  w.u64(cell_stride_ - 1);  // payload cells per slot
-  for (const auto& [slot_id, cells] : live) {
-    w.u64(slot_id);
-    ser::put_cells(w, {cells, cell_stride_});
-  }
-  w.end_section();
-}
-
-void KvTableBank::deserialize_flat_state(ser::Reader& r) {
-  if (levels_ != 1) {
-    throw ser::SerializeError("KvTableBank: flat state needs one level");
-  }
-  const std::uint64_t count = r.u64();
-  ser::check_field(r.u64(), cell_stride_ - 1, "KvTableBank payload cells");
-  const std::uint64_t slot_limit = config().tables * cells_per_table_;
-  // As deserialize_state: bound the count before reserving for it.  Every
-  // flat entry is a slot id and cell_stride_ 32-byte cells.
-  constexpr std::uint64_t kCellBytes = 4 * 8;
-  if (count > slot_limit ||
-      count > r.remaining() / (8 + cell_stride_ * kCellBytes)) {
-    throw ser::SerializeError("KvTableBank entry count exceeds the payload");
-  }
-  entries_.clear();
-  ht_slot_.clear();
-  ht_index_.clear();
-  arena_.reset();
-  entries_.reserve(count);
-  std::uint64_t prev_slot = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Entry e;
-    e.slot_id = r.u64();
-    if (e.slot_id >= slot_limit || (i > 0 && e.slot_id <= prev_slot)) {
-      throw ser::SerializeError(
-          "KvTableBank slot id out of order or out of range");
-    }
-    prev_slot = e.slot_id;
-    e.rows = 1;
-    e.cap = 1;
-    e.block = arena_.allocate(cell_stride_);
-    ser::get_cells(r, {arena_.data(e.block), cell_stride_});
-    entries_.push_back(e);
-  }
-  if (!entries_.empty()) grow_table();
-}
+KW_SERIALIZE_TAGGED(DistinctElementsSketch, ser::kTagDistinctElements)
 
 // ---- AgmGraphSketch -----------------------------------------------------
 
-void AgmGraphSketch::serialize(ser::Writer& w) const {
-  w.begin_section("agm.header");
-  w.u32(n_);
-  w.u64(config_.rounds);
-  w.u64(config_.sampler_instances);
-  w.u64(config_.seed);
-  w.end_section();
-  group_.serialize(w);
+template <class V>
+void AgmGraphSketch::fields(V& v) {
+  v.section("agm.header", [&] {
+    v.same(n_, "AgmGraphSketch n");
+    v.same(config_.rounds, "AgmGraphSketch rounds");
+    v.same(config_.sampler_instances, "AgmGraphSketch sampler_instances");
+    v.same(config_.seed, "AgmGraphSketch seed");
+  });
+  v.object(group_);
 }
 
-void AgmGraphSketch::deserialize(ser::Reader& r) {
-  ser::check_field(r.u32(), n_, "AgmGraphSketch n");
-  ser::check_field(r.u64(), config_.rounds, "AgmGraphSketch rounds");
-  ser::check_field(r.u64(), config_.sampler_instances,
-                   "AgmGraphSketch sampler_instances");
-  ser::check_field(r.u64(), config_.seed, "AgmGraphSketch seed");
-  group_.deserialize(r);
-}
+KW_SERIALIZE_TAGGED(AgmGraphSketch, ser::kTagAgmSketch)
 
 }  // namespace kw

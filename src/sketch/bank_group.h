@@ -226,12 +226,15 @@ class BankGroup {
 
   [[nodiscard]] View view(std::size_t group) const { return View(*this, group); }
 
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
+  // ---- serialization: fields() in src/serialize/sketch_serialize.cc -----
   // Writes geometry + seeds (validated on load) and one sparse cell
   // section; hashes/bases are rebuilt from seeds by the constructor, so
   // deserialize() requires an identically-configured destination.
+  [[nodiscard]] std::uint32_t serial_tag() const noexcept;
   void serialize(ser::Writer& w) const;
   void deserialize(ser::Reader& r);
+  template <class V>
+  void fields(V& v);
 
  private:
   [[nodiscard]] const OneSparseCell* stripe_ptr(std::size_t group,

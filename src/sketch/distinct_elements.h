@@ -43,9 +43,12 @@ class DistinctElementsSketch {
     return config_;
   }
 
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
+  // ---- serialization: fields() in src/serialize/sketch_serialize.cc -----
+  [[nodiscard]] std::uint32_t serial_tag() const noexcept;
   void serialize(ser::Writer& w) const;
   void deserialize(ser::Reader& r);
+  template <class V>
+  void fields(V& v);
 
  private:
   [[nodiscard]] double estimate_one(std::size_t rep) const;

@@ -261,8 +261,11 @@ class KvTableBank {
                                                  std::size_t levels) noexcept;
   [[nodiscard]] std::size_t touched_bytes() const noexcept;
 
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
+  // ---- serialization: fields() in src/serialize/spanner_serialize.cc ----
   // State only; the owner re-derives the config from its own seed chain.
+  // Multi-level: u64 entry count, u64 levels, u64 cell stride, then per
+  // entry in slot order the slot id, its touched level count and that many
+  // rows of level diffs.
   void serialize_state(ser::Writer& w) const;
   void deserialize_state(ser::Reader& r);
   // The one-level table layout of the multipass checkpoint (levels() == 1
@@ -271,6 +274,8 @@ class KvTableBank {
   // cells.  All-zero slots are not written.
   void serialize_flat_state(ser::Writer& w) const;
   void deserialize_flat_state(ser::Reader& r);
+  template <class V>
+  void fields(V& v, bool flat);
 
  private:
   using CellArena = SlabArena<OneSparseCell>;

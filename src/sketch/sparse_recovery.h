@@ -95,9 +95,12 @@ class SparseRecoverySketch {
     return basis_;
   }
 
-  // ---- serialization (src/serialize/sketch_serialize.cc) ---------------
+  // ---- serialization: fields() in src/serialize/sketch_serialize.cc -----
+  [[nodiscard]] std::uint32_t serial_tag() const noexcept;
   void serialize(ser::Writer& w) const;
   void deserialize(ser::Reader& r);
+  template <class V>
+  void fields(V& v);
 
  private:
   SparseRecoveryConfig config_;
