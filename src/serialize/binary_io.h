@@ -290,7 +290,8 @@ class Visitor {
 
   template <class T>
   void value(std::vector<T>& xs) {
-    // sizeof(T) is the wire size of every element type (Edge: 4 + 4 + 8).
+    // sizeof(T) is the wire size of every element type.
+    static_assert(sizeof(Edge) == 4 + 4 + 8);
     const std::uint64_t n = count(xs.size(), sizeof(T));
     if constexpr (kLoading) xs.resize(n);
     for (T& x : xs) value(x);
